@@ -103,7 +103,8 @@ void BM_TreeSetDataApply(benchmark::State& state) {
   const Bytes data = make_payload(256);
   std::uint32_t v = 0;
   for (auto _ : state) {
-    (void)tree.apply_set_data("/hot", data, ++v, Zxid{1, v});
+    ++v;
+    (void)tree.apply_set_data("/hot", data, v, Zxid{1, v});
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -13,16 +13,6 @@
 
 namespace zab {
 
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { v_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return v_; }
-  void reset() { v_ = 0; }
-
- private:
-  std::uint64_t v_ = 0;
-};
-
 /// Log-linear histogram of non-negative integer samples (e.g. latency ns).
 class Histogram {
  public:

@@ -1,10 +1,7 @@
 #include "net/admin_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -23,11 +20,6 @@
 namespace zab::net {
 
 namespace {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) >= 0;
-}
 
 std::string response(int code, const char* reason, const char* content_type,
                      std::string body) {
@@ -204,55 +196,18 @@ AdminServer::AdminServer(AdminConfig cfg, Collector collector)
 AdminServer::~AdminServer() { stop(); }
 
 Status AdminServer::start() {
-  if (::pipe(wake_pipe_) != 0) return Status::io_error("pipe");
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Status::io_error("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.port);
-  if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::invalid_argument("bad host " + cfg_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::io_error(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 16) != 0) return Status::io_error("listen");
-  set_nonblocking(listen_fd_);
-
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
-  port_ = ntohs(bound.sin_port);
-
-  running_ = true;
-  io_thread_ = std::thread([this] { io_loop(); });
-  return Status::ok();
+  ZAB_RETURN_IF_ERROR(
+      reactor_.listen_tcp(cfg_.host, cfg_.port, &port_, [this](int fd) {
+        const std::uint64_t id = next_conn_++;
+        auto on_event = [this, id](std::uint32_t) { on_conn(id); };
+        if (!conns_[id].conn.attach(fd, reactor_, on_event)) conns_.erase(id);
+      }));
+  return reactor_.start();
 }
 
 void AdminServer::stop() {
-  if (!running_.exchange(false)) {
-    if (io_thread_.joinable()) io_thread_.join();
-    return;
-  }
-  const char b = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
-  if (io_thread_.joinable()) io_thread_.join();
-  for (auto& c : conns_) {
-    if (c.fd >= 0) ::close(c.fd);
-  }
-  conns_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+  reactor_.stop();
+  conns_.clear();  // FramedConn closes its socket
 }
 
 bool AdminServer::fetch(AdminSnapshot* out) {
@@ -298,115 +253,52 @@ bool AdminServer::fetch(AdminSnapshot* out) {
 }
 
 void AdminServer::serve_conn(Conn& c) {
-  while (true) {
-    HttpRequest req;
-    const HttpParse r = parse_http_request(c.in, &req);
-    if (r == HttpParse::kNeedMore) return;
-    if (r == HttpParse::kBad) {
-      c.out += response(400, "Bad Request", kTextPlain, "bad request\n");
-      c.close_after_write = true;
+  HttpRequest req;
+  std::string resp;
+  switch (parse_http_request(c.in, &req)) {
+    case HttpParse::kNeedMore:
       return;
-    }
-    if (r == HttpParse::kTooLarge) {
-      c.out += response(431, "Request Header Fields Too Large", kTextPlain,
-                        "request too large\n");
-      c.close_after_write = true;
-      return;
-    }
-    // /healthz must not touch the collector: liveness stays cheap and
-    // cannot be dragged down by a wedged node loop.
-    if (req.method == "GET" && req.target == "/healthz") {
-      c.out += handle(req, AdminSnapshot{}, false);
-    } else {
-      AdminSnapshot snap;
-      const bool fresh = fetch(&snap);
-      c.out += handle(req, snap, !fresh);
-    }
-    c.close_after_write = true;  // Connection: close on every response
-    return;
+    case HttpParse::kBad:
+      resp = response(400, "Bad Request", kTextPlain, "bad request\n");
+      break;
+    case HttpParse::kTooLarge:
+      resp = response(431, "Request Header Fields Too Large", kTextPlain,
+                      "request too large\n");
+      break;
+    case HttpParse::kOk:
+      // /healthz must not touch the collector: liveness stays cheap and
+      // cannot be dragged down by a wedged node loop.
+      if (req.method == "GET" && req.target == "/healthz") {
+        resp = handle(req, AdminSnapshot{}, false);
+      } else {
+        AdminSnapshot snap;
+        const bool fresh = fetch(&snap);
+        resp = handle(req, snap, !fresh);
+      }
+      break;
   }
+  c.answered = true;  // Connection: close on every response
+  // Refused only past kMaxAdminResponseBytes; the connection then closes
+  // unanswered.
+  (void)c.conn.push(Bytes(resp.begin(), resp.end()), /*framed=*/false);
 }
 
-void AdminServer::io_loop() {
-  while (running_) {
-    std::erase_if(conns_, [](const Conn& c) { return c.fd < 0; });
-    std::vector<pollfd> pfds;
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (auto& c : conns_) {
-      short ev = POLLIN;
-      if (!c.out.empty()) ev |= POLLOUT;
-      pfds.push_back({c.fd, ev, 0});
+void AdminServer::on_conn(std::uint64_t id) {
+  auto it = conns_.find(id);
+  if (it == conns_.end()) return;
+  Conn& c = it->second;
+  const bool open = c.conn.read([&] {
+    const auto in = c.conn.input();
+    if (!c.answered) {
+      c.in.append(reinterpret_cast<const char*>(in.data()), in.size());
+      serve_conn(c);
     }
-    const std::size_t polled = conns_.size();
-
-    const int rc = ::poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) return;
-    if (!running_) return;
-
-    if (pfds[0].revents & POLLIN) {
-      char buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (pfds[1].revents & POLLIN) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (!set_nonblocking(fd)) {
-          ::close(fd);
-          continue;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        Conn c;
-        c.fd = fd;
-        conns_.push_back(std::move(c));
-      }
-    }
-
-    for (std::size_t i = 0; i < polled; ++i) {
-      Conn& c = conns_[i];
-      const short rev = pfds[2 + i].revents;
-      if (rev & (POLLERR | POLLHUP)) {
-        ::close(c.fd);
-        c.fd = -1;
-        continue;
-      }
-      if (rev & POLLIN) {
-        char buf[16384];
-        while (true) {
-          const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-          if (n > 0) {
-            c.in.append(buf, static_cast<std::size_t>(n));
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          ::close(c.fd);
-          c.fd = -1;
-          break;
-        }
-        if (c.fd >= 0) serve_conn(c);
-      }
-      if (c.fd >= 0 && !c.out.empty()) {
-        while (!c.out.empty()) {
-          const ssize_t w =
-              ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-          if (w > 0) {
-            c.out.erase(0, static_cast<std::size_t>(w));
-            continue;
-          }
-          if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          ::close(c.fd);
-          c.fd = -1;
-          break;
-        }
-        if (c.fd >= 0 && c.out.empty() && c.close_after_write) {
-          ::close(c.fd);
-          c.fd = -1;
-        }
-      }
-    }
+    c.conn.consume(in.size());
+    return true;
+  });
+  if (!open || c.conn.flush() < 0 ||
+      (c.answered && c.conn.queued_bytes() == 0)) {
+    conns_.erase(it);  // FramedConn closes its socket
   }
 }
 

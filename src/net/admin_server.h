@@ -1,9 +1,10 @@
 // Out-of-band admin plane: a tiny read-only HTTP/1.1 server on its own port.
 //
 // Operators and probes talk HTTP (curl, Prometheus, Kubernetes) — the client
-// protocol stays for clients. The admin server shares NOTHING with the
-// client-protocol path: its own listener, its own IO thread, no sessions, no
-// framing. Endpoints:
+// protocol stays for clients. The admin server shares no state with the
+// client-protocol path: its own listener and its own IO thread (a Reactor,
+// net/reactor.h), no sessions, no length framing — requests and responses
+// are raw bytes on a FramedConn, one response per connection. Endpoints:
 //
 //   GET /healthz   liveness: 200 "ok" while the process serves HTTP at all.
 //   GET /readyz    readiness: 200 "ready" when the node can serve its role
@@ -31,16 +32,15 @@
 // protocol for longer than the collect timeout.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
+#include <unordered_map>
 
 #include "common/status.h"
 #include "common/time.h"
+#include "net/reactor.h"
 
 namespace zab::net {
 
@@ -85,6 +85,8 @@ HttpParse parse_http_request(std::string& buf, HttpRequest* out);
 
 /// Header cap for parse_http_request (request line + headers).
 inline constexpr std::size_t kMaxAdminRequestBytes = 8192;
+/// Largest response the admin plane writes (a full /tracez dump).
+inline constexpr std::size_t kMaxAdminResponseBytes = 64u << 20;
 
 class AdminServer {
  public:
@@ -117,13 +119,13 @@ class AdminServer {
 
  private:
   struct Conn {
-    int fd = -1;
+    FramedConn conn{kMaxAdminResponseBytes, kMaxAdminResponseBytes};
     std::string in;
-    std::string out;
-    bool close_after_write = false;
+    bool answered = false;  // Connection: close after the one response
   };
 
-  void io_loop();
+  /// IO thread: read, answer at most one request, close once written.
+  void on_conn(std::uint64_t id);
   void serve_conn(Conn& c);
   /// Fresh snapshot from the collector, or the cached one. Returns true
   /// when the result is fresh.
@@ -131,12 +133,10 @@ class AdminServer {
 
   AdminConfig cfg_;
   Collector collector_;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
   std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread io_thread_;
-  std::vector<Conn> conns_;
+  Reactor reactor_;
+  std::unordered_map<std::uint64_t, Conn> conns_;  // IO thread
+  std::uint64_t next_conn_ = 1;
 
   // IO-thread only once running; the mutex covers the pre-start window.
   std::mutex cache_mu_;

@@ -1,54 +1,23 @@
 #include "net/tcp_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-
-#include "common/logging.h"
 
 namespace zab::net {
 
 namespace {
-
 constexpr std::uint32_t kHelloMagic = 0x5a41424eu;  // "ZABN"
-constexpr std::uint32_t kMaxFrame = 64u << 20;
-
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Status set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::io_error("fcntl O_NONBLOCK");
-  }
-  return Status::ok();
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
-void append_u32(Bytes& b, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  b.insert(b.end(), p, p + 4);
-}
-
 }  // namespace
+
+TcpTransport::TcpTransport(TcpConfig cfg)
+    : cfg_(std::move(cfg)), reactor_([this] { drain_sends(); }) {}
 
 Result<std::unique_ptr<TcpTransport>> TcpTransport::create(TcpConfig cfg) {
   std::unique_ptr<TcpTransport> t(new TcpTransport(std::move(cfg)));
@@ -57,47 +26,31 @@ Result<std::unique_ptr<TcpTransport>> TcpTransport::create(TcpConfig cfg) {
 }
 
 Status TcpTransport::init() {
-  if (cfg_.metrics) {
-    c_msgs_out_ = &cfg_.metrics->counter("net.tcp.msgs_out");
-    c_bytes_out_ = &cfg_.metrics->counter("net.tcp.bytes_out");
-    c_msgs_in_ = &cfg_.metrics->counter("net.tcp.msgs_in");
-    c_bytes_in_ = &cfg_.metrics->counter("net.tcp.bytes_in");
-    c_send_drops_ = &cfg_.metrics->counter("net.tcp.send_drops");
-    c_connects_ = &cfg_.metrics->counter("net.tcp.connects");
-    c_conn_breaks_ = &cfg_.metrics->counter("net.tcp.conn_breaks");
-    c_writev_calls_ = &cfg_.metrics->counter("net.tcp.writev_calls");
+  // Without a shared registry the counters still exist, just unexported.
+  if (!cfg_.metrics) {
+    own_metrics_ = std::make_unique<MetricsRegistry>();
+    cfg_.metrics = own_metrics_.get();
   }
-  if (::pipe(wake_pipe_) != 0) return Status::io_error("pipe");
-  ZAB_RETURN_IF_ERROR(set_nonblocking(wake_pipe_[0]));
-  ZAB_RETURN_IF_ERROR(set_nonblocking(wake_pipe_[1]));
+  MetricsRegistry& m = *cfg_.metrics;
+  c_msgs_out_ = &m.counter("net.tcp.msgs_out");
+  c_bytes_out_ = &m.counter("net.tcp.bytes_out");
+  c_msgs_in_ = &m.counter("net.tcp.msgs_in");
+  c_bytes_in_ = &m.counter("net.tcp.bytes_in");
+  c_send_drops_ = &m.counter("net.tcp.send_drops");
+  c_connects_ = &m.counter("net.tcp.connects");
+  c_conn_breaks_ = &m.counter("net.tcp.conn_breaks");
+  c_writev_calls_ = &m.counter("net.tcp.writev_calls");
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Status::io_error("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.ports.at(cfg_.id));
-  if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::invalid_argument("bad host " + cfg_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::io_error(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) return Status::io_error("listen");
-  ZAB_RETURN_IF_ERROR(set_nonblocking(listen_fd_));
-
-  // Recover the actual port (supports port 0 = ephemeral, used in tests).
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
-  listen_port_ = ntohs(bound.sin_port);
-
+  ZAB_RETURN_IF_ERROR(reactor_.listen_tcp(
+      cfg_.host, cfg_.ports.at(cfg_.id), &listen_port_, [this](int fd) {
+        const std::uint64_t id = next_inbound_++;
+        auto on_event = [this, id](std::uint32_t) { on_inbound(id); };
+        if (!inbound_[id].conn.attach(fd, reactor_, on_event)) {
+          inbound_.erase(id);
+        }
+      }));
   running_ = true;
-  io_thread_ = std::thread([this] { io_loop(); });
-  return Status::ok();
+  return reactor_.start();
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
@@ -116,306 +69,149 @@ void TcpTransport::set_peer_ports(std::map<NodeId, std::uint16_t> ports) {
 void TcpTransport::shutdown() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (!running_) {
-      if (io_thread_.joinable()) io_thread_.join();
-      return;
-    }
     running_ = false;
+    pending_.clear();
   }
-  wake();
-  if (io_thread_.joinable()) io_thread_.join();
-  for (auto& [peer, out] : outgoing_) close_fd(out.fd);
-  for (auto& in : inbound_) close_fd(in.fd);
+  reactor_.stop();
+  outgoing_.clear();  // FramedConn closes its socket
   inbound_.clear();
-  close_fd(listen_fd_);
-  close_fd(wake_pipe_[0]);
-  close_fd(wake_pipe_[1]);
-}
-
-void TcpTransport::wake() {
-  const char b = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
 }
 
 void TcpTransport::send(NodeId to, Bytes payload) {
-  if (payload.size() > kMaxFrame) return;
-  // Frame outside the lock: one owned buffer per message, queued whole.
-  Bytes frame;
-  frame.reserve(payload.size() + 4);
-  append_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (!running_) return;
+    pending_.emplace_back(to, std::move(payload));
+  }
+  reactor_.wake();
+}
+
+void TcpTransport::drain_sends() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    batch_.swap(pending_);
+  }
+  for (auto& [to, payload] : batch_) {
     Outgoing& out = outgoing_[to];
-    if (out.queued_bytes + frame.size() > cfg_.max_outbuf_bytes) {
-      if (c_send_drops_) c_send_drops_->add();
-      return;  // back-pressure overflow: drop (protocol-level loss)
+    const std::size_t bytes = payload.size() + 4;
+    const int calls = out.conn.push(std::move(payload));
+    if (calls < 0) {
+      // The overflow rule: the peer is not keeping up. Dropping its link
+      // loses these frames, which the protocol detects and resyncs.
+      c_send_drops_->add();
+      close_outgoing(out);
+      continue;
     }
-    if (c_msgs_out_) {
-      c_msgs_out_->add();
-      c_bytes_out_->add(frame.size());
-    }
-    out.queued_bytes += frame.size();
-    out.frames.push_back(std::move(frame));
+    c_writev_calls_->add(static_cast<std::uint64_t>(calls));
+    c_msgs_out_->add();
+    c_bytes_out_->add(bytes);
   }
-  wake();
+  batch_.clear();
+  // Write at once: one sendmsg per link carries the whole burst.
+  for (auto& [peer, out] : outgoing_) {
+    if (out.conn.queued_bytes() > 0) kick(peer, out);
+  }
 }
 
-void TcpTransport::start_connect(NodeId peer, Outgoing& out,
-                                 std::int64_t now) {
-  auto pit = cfg_.ports.find(peer);
-  if (pit == cfg_.ports.end()) return;
-  out.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (out.fd < 0) return;
-  if (!set_nonblocking(out.fd).is_ok()) {
-    close_outgoing(out, now);
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(out.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(pit->second);
-  ::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr);
-  const int rc =
-      ::connect(out.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc == 0 || errno == EINPROGRESS) {
-    if (c_connects_) c_connects_->add();
-    out.connecting = (rc != 0);
-    // Prepend the hello frame ahead of whatever is queued.
-    Bytes hello;
-    append_u32(hello, kHelloMagic);
-    append_u32(hello, cfg_.id);
-    out.queued_bytes += hello.size();
-    out.frames.push_front(std::move(hello));
-    out.front_sent = 0;
+void TcpTransport::kick(NodeId peer, Outgoing& out) {
+  if (!out.conn.is_open()) {
+    dial(peer, out);
+  } else if (const int calls = out.conn.flush(); calls < 0) {
+    close_outgoing(out);
   } else {
-    close_outgoing(out, now);
+    c_writev_calls_->add(static_cast<std::uint64_t>(calls));
   }
 }
 
-void TcpTransport::close_outgoing(Outgoing& out, std::int64_t now) {
-  if (out.fd >= 0 && c_conn_breaks_) c_conn_breaks_->add();
-  close_fd(out.fd);
-  out.connecting = false;
-  out.frames.clear();  // connection broke: in-flight frames are lost
-  out.queued_bytes = 0;
-  out.front_sent = 0;
-  out.next_attempt_ms = now + cfg_.reconnect_ms;
-}
-
-bool TcpTransport::flush_outgoing(Outgoing& out) {
-  // Hand the queued frames to the kernel as one vectored write per syscall
-  // (sendmsg == writev + MSG_NOSIGNAL): a burst of PROPOSE/COMMIT frames
-  // drains without per-frame send() calls or chunk re-copies.
-  constexpr std::size_t kMaxIov = 64;
-  while (!out.frames.empty()) {
-    ::iovec iov[kMaxIov];
-    std::size_t cnt = 0;
-    for (const Bytes& f : out.frames) {
-      if (cnt == kMaxIov) break;
-      const std::size_t skip = (cnt == 0) ? out.front_sent : 0;
-      iov[cnt].iov_base = const_cast<std::uint8_t*>(f.data() + skip);
-      iov[cnt].iov_len = f.size() - skip;
-      ++cnt;
+void TcpTransport::dial(NodeId peer, Outgoing& out) {
+  const TimePoint now = clock_.now();
+  if (now >= out.next_dial_ns) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      auto it = cfg_.ports.find(peer);
+      if (it != cfg_.ports.end()) addr.sin_port = htons(it->second);
     }
-    ::msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = cnt;
-    const ssize_t w = ::sendmsg(out.fd, &msg, MSG_NOSIGNAL);
-    if (w > 0) {
-      if (c_writev_calls_) c_writev_calls_->add();
-      out.queued_bytes -= static_cast<std::size_t>(w);
-      auto rem = static_cast<std::size_t>(w);
-      while (rem > 0) {
-        const std::size_t left = out.frames.front().size() - out.front_sent;
-        if (rem >= left) {
-          rem -= left;
-          out.frames.pop_front();
-          out.front_sent = 0;
-        } else {
-          out.front_sent += rem;  // partial write: resume here next round
-          rem = 0;
-        }
-      }
-      continue;
+    ::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr);
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (addr.sin_port == 0 ||
+        (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+         errno != EINPROGRESS)) {
+      ::close(fd);
+      fd = -1;
     }
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // broken
+    BufWriter hello(8);
+    hello.u32(kHelloMagic);
+    hello.u32(cfg_.id);
+    auto on_event = [this, peer](std::uint32_t ev) { on_outgoing(peer, ev); };
+    if (fd >= 0 &&
+        out.conn.attach(fd, reactor_, on_event, std::move(hello).take())) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      c_connects_->add();
+      kick(peer, out);  // sendmsg reports EAGAIN until the connect completes
+      return;
+    }
+    out.next_dial_ns = now + millis(cfg_.reconnect_ms);
   }
-  return true;
+  // Port unknown yet, refused, or backing off: retry while frames wait.
+  if (out.redial_armed) return;
+  out.redial_armed = true;
+  reactor_.after(out.next_dial_ns - now, [this, peer] {
+    Outgoing& o = outgoing_[peer];
+    o.redial_armed = false;
+    if (!o.conn.is_open() && o.conn.queued_bytes() > 0) dial(peer, o);
+  });
 }
 
-void TcpTransport::handle_inbound_readable(Inbound& in) {
-  std::uint8_t buf[16384];
-  while (true) {
-    const ssize_t n = ::recv(in.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      in.inbuf.insert(in.inbuf.end(), buf, buf + n);
-      if (!parse_inbound(in)) {
-        close_fd(in.fd);
-        return;
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    close_fd(in.fd);  // EOF or error
+void TcpTransport::close_outgoing(Outgoing& out) {
+  if (out.conn.is_open()) c_conn_breaks_->add();
+  // Unwritten frames are lost with the link.
+  c_send_drops_->add(out.conn.close());
+  out.next_dial_ns = clock_.now() + millis(cfg_.reconnect_ms);
+}
+
+void TcpTransport::on_outgoing(NodeId peer, std::uint32_t events) {
+  Outgoing& out = outgoing_[peer];
+  // Outgoing links are write-only: input (EOF included), a hang-up or an
+  // error ends the link.
+  if (events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
+    close_outgoing(out);
     return;
   }
+  kick(peer, out);  // connected, or socket buffer space freed
 }
 
-bool TcpTransport::parse_inbound(Inbound& in) {
-  std::size_t pos = 0;
-  while (true) {
-    if (in.peer == kNoNode) {
-      if (in.inbuf.size() - pos < 8) break;
-      std::uint32_t magic = 0;
-      std::uint32_t from = 0;
-      std::memcpy(&magic, in.inbuf.data() + pos, 4);
-      std::memcpy(&from, in.inbuf.data() + pos + 4, 4);
-      if (magic != kHelloMagic || from == kNoNode) return false;
-      in.peer = from;
-      pos += 8;
-      continue;
-    }
-    if (in.inbuf.size() - pos < 4) break;
-    std::uint32_t len = 0;
-    std::memcpy(&len, in.inbuf.data() + pos, 4);
-    if (len > kMaxFrame) return false;
-    if (in.inbuf.size() - pos < 4 + static_cast<std::size_t>(len)) break;
-    Bytes payload(in.inbuf.begin() + static_cast<std::ptrdiff_t>(pos) + 4,
-                  in.inbuf.begin() + static_cast<std::ptrdiff_t>(pos) + 4 +
-                      static_cast<std::ptrdiff_t>(len));
-    pos += 4 + len;
-    if (c_msgs_in_) {
-      c_msgs_in_->add();
-      c_bytes_in_->add(4 + static_cast<std::uint64_t>(len));
-    }
-    Handler h;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      h = handler_;
-    }
+void TcpTransport::on_inbound(std::uint64_t id) {
+  auto it = inbound_.find(id);
+  if (it == inbound_.end()) return;
+  Handler h;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    h = handler_;
+  }
+  Inbound& in = it->second;
+  if (!in.conn.read([&] { return parse_inbound(in, h); })) inbound_.erase(it);
+}
+
+bool TcpTransport::parse_inbound(Inbound& in, const Handler& h) {
+  if (in.peer == kNoNode) {
+    const auto hello = in.conn.input();
+    if (hello.size() < 8) return true;
+    std::uint32_t magic = 0;
+    std::uint32_t from = 0;
+    std::memcpy(&magic, hello.data(), 4);
+    std::memcpy(&from, hello.data() + 4, 4);
+    if (magic != kHelloMagic || from == kNoNode) return false;
+    in.peer = from;
+    in.conn.consume(8);
+  }
+  return in.conn.pop_frames([&](Bytes payload) {
+    c_msgs_in_->add();
+    c_bytes_in_->add(4 + payload.size());
     if (h) h(in.peer, std::move(payload));
-  }
-  in.inbuf.erase(in.inbuf.begin(),
-                 in.inbuf.begin() + static_cast<std::ptrdiff_t>(pos));
-  return true;
-}
-
-void TcpTransport::io_loop() {
-  while (true) {
-    // Snapshot state under the lock; do IO without it. The fd and the
-    // wants-write decision are captured here — other threads mutate
-    // Outgoing (send() queues frames) under mu_, so they must not be read
-    // again outside it.
-    struct OutSnap {
-      Outgoing* out;
-      int fd;
-      bool want_write;
-    };
-    std::vector<OutSnap> outs;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!running_) return;
-      const std::int64_t now = now_ms();
-      for (auto& [peer, out] : outgoing_) {
-        if (out.fd < 0 && !out.frames.empty() && now >= out.next_attempt_ms) {
-          start_connect(peer, out, now);
-        }
-        if (out.fd >= 0) {
-          outs.push_back(
-              {&out, out.fd, out.connecting || !out.frames.empty()});
-        }
-      }
-    }
-
-    std::vector<pollfd> pfds;
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    const std::size_t out_base = pfds.size();
-    for (const auto& s : outs) {
-      short ev = POLLIN;  // detect close
-      if (s.want_write) ev |= POLLOUT;
-      pfds.push_back({s.fd, ev, 0});
-    }
-    const std::size_t in_base = pfds.size();
-    std::erase_if(inbound_, [](const Inbound& in) { return in.fd < 0; });
-    for (auto& in : inbound_) pfds.push_back({in.fd, POLLIN, 0});
-    // Connections accepted below are appended to inbound_ but have no
-    // pollfd this iteration; only the first `polled_inbound` entries may be
-    // indexed against pfds.
-    const std::size_t polled_inbound = inbound_.size();
-
-    const int rc = ::poll(pfds.data(), pfds.size(), cfg_.reconnect_ms);
-    if (rc < 0 && errno != EINTR) return;
-
-    // Drain the wake pipe.
-    if (pfds[0].revents & POLLIN) {
-      char buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-
-    // Accept new inbound connections.
-    if (pfds[1].revents & POLLIN) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (set_nonblocking(fd).is_ok()) {
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          inbound_.push_back(Inbound{fd, kNoNode, {}});
-        } else {
-          ::close(fd);
-        }
-      }
-    }
-
-    // Progress outgoing connections.
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      const std::int64_t now = now_ms();
-      for (std::size_t i = 0; i < outs.size(); ++i) {
-        Outgoing* out = outs[i].out;
-        if (out->fd < 0) continue;
-        const short rev = pfds[out_base + i].revents;
-        if (rev & (POLLERR | POLLHUP)) {
-          close_outgoing(*out, now);
-          continue;
-        }
-        if (out->connecting && (rev & POLLOUT)) {
-          int err = 0;
-          socklen_t elen = sizeof(err);
-          ::getsockopt(out->fd, SOL_SOCKET, SO_ERROR, &err, &elen);
-          if (err != 0) {
-            close_outgoing(*out, now);
-            continue;
-          }
-          out->connecting = false;
-        }
-        if (!out->connecting && (rev & POLLOUT || !out->frames.empty())) {
-          if (!flush_outgoing(*out)) close_outgoing(*out, now);
-        }
-        if (rev & POLLIN) {
-          // Outgoing connections are write-only; any readable data means
-          // EOF/garbage. Probe and close on EOF.
-          char b;
-          const ssize_t n = ::recv(out->fd, &b, 1, MSG_PEEK);
-          if (n == 0) close_outgoing(*out, now);
-        }
-      }
-    }
-
-    // Inbound reads (handler invoked without the lock held).
-    for (std::size_t i = 0; i < polled_inbound; ++i) {
-      if (pfds[in_base + i].revents & (POLLIN | POLLERR | POLLHUP)) {
-        handle_inbound_readable(inbound_[i]);
-      }
-    }
-  }
+  });
 }
 
 }  // namespace zab::net

@@ -14,26 +14,34 @@
 //   hello:  u32 magic 0x5a41424e ("ZABN") | u32 sender id
 //   frame:  u32 len | payload[len]            (len capped at 64 MiB)
 //
-// One IO thread per transport runs a poll() loop; send() from any thread
-// appends an owned frame buffer to the peer's output queue and wakes the
-// loop via a pipe. The flush path drains the whole queue with vectored
-// writes (one sendmsg covers many queued frames), counted under
-// net.tcp.writev_calls.
+// One IO thread per transport runs a Reactor (net/reactor.h). send() from
+// any thread hands the payload over and wakes it; the IO thread queues it on
+// the peer's FramedConn and writes at once, one sendmsg covering many
+// queued frames (counted under net.tcp.writev_calls). A link holds at most
+// one frame plus kPeerOutCap: a send that would overflow a slow peer's link
+// closes it, its unwritten frames count as net.tcp.send_drops, and the
+// protocol's gap detection resyncs the peer over the next connection.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics_registry.h"
 #include "common/status.h"
+#include "net/reactor.h"
 #include "net/transport.h"
 
 namespace zab::net {
+
+/// Largest payload one peer frame may carry (a SNAP of the whole tree).
+inline constexpr std::size_t kMaxPeerFrame = 64u << 20;
+/// Per-link output cap (the overflow rule in net/reactor.h).
+inline constexpr std::size_t kPeerOutCap = 8u << 20;
 
 struct TcpConfig {
   NodeId id = kNoNode;
@@ -42,9 +50,6 @@ struct TcpConfig {
   std::map<NodeId, std::uint16_t> ports;
   /// Re-dial a broken outgoing connection after this long (real time, ms).
   int reconnect_ms = 200;
-  /// Per-peer output buffer cap; sends beyond it are dropped (the protocol
-  /// treats that as message loss and re-syncs).
-  std::size_t max_outbuf_bytes = 8u << 20;
   /// Optional shared registry; when set, traffic is counted under net.tcp.*
   /// (atomic counters only — safe from the IO thread). Must outlive the
   /// transport.
@@ -68,49 +73,49 @@ class TcpTransport final : public Transport {
   void set_peer_ports(std::map<NodeId, std::uint16_t> ports);
 
  private:
-  explicit TcpTransport(TcpConfig cfg) : cfg_(std::move(cfg)) {}
+  explicit TcpTransport(TcpConfig cfg);
   Status init();
-  void io_loop();
-  void wake();
 
   struct Outgoing {
-    int fd = -1;
-    bool connecting = false;
-    /// Owned, already-framed buffers ([u32 len | payload]; the hello is just
-    /// another frame at the front). Kept whole so a flush can hand the entire
-    /// backlog to one writev instead of re-copying chunk by chunk.
-    std::deque<Bytes> frames;
-    std::size_t queued_bytes = 0;  // sum of frames[i].size()
-    std::size_t front_sent = 0;    // bytes of frames.front() already written
-    std::int64_t next_attempt_ms = 0;
+    FramedConn conn{kMaxPeerFrame, kPeerOutCap};
+    std::int64_t next_dial_ns = 0;  // backoff after a failed or broken link
+    bool redial_armed = false;
   };
   struct Inbound {
-    int fd = -1;
+    FramedConn conn{kMaxPeerFrame, kPeerOutCap};
     NodeId peer = kNoNode;  // learned from hello
-    std::vector<std::uint8_t> inbuf;
   };
 
-  void start_connect(NodeId peer, Outgoing& out, std::int64_t now_ms);
-  void close_outgoing(Outgoing& out, std::int64_t now_ms);
-  bool flush_outgoing(Outgoing& out);
-  void handle_inbound_readable(Inbound& in);
-  bool parse_inbound(Inbound& in);
+  // All on the IO thread.
+  void drain_sends();
+  /// Get a link's queued frames moving: flush, or dial when it is down.
+  void kick(NodeId peer, Outgoing& out);
+  /// Connect, or arm a redial once the backoff has passed.
+  void dial(NodeId peer, Outgoing& out);
+  void close_outgoing(Outgoing& out);
+  void on_outgoing(NodeId peer, std::uint32_t events);
+  void on_inbound(std::uint64_t id);
+  bool parse_inbound(Inbound& in, const Handler& h);
 
   TcpConfig cfg_;
+  SystemClock clock_;
   std::uint16_t listen_port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
+  Reactor reactor_;
 
-  std::mutex mu_;
+  std::mutex mu_;  // guards cfg_.ports, handler_, pending_, running_
   Handler handler_;
-  std::map<NodeId, Outgoing> outgoing_;
+  std::vector<std::pair<NodeId, Bytes>> pending_;  // for the IO thread
   bool running_ = false;
 
-  std::vector<Inbound> inbound_;  // IO-thread local
-  std::thread io_thread_;
+  // IO-thread state.
+  std::vector<std::pair<NodeId, Bytes>> batch_;  // pending_ swapped out
+  std::map<NodeId, Outgoing> outgoing_;
+  std::unordered_map<std::uint64_t, Inbound> inbound_;
+  std::uint64_t next_inbound_ = 1;
 
-  // Cached registry handles (resolved once in init(); relaxed atomics, so
-  // both the caller of send() and the IO thread may bump them).
+  // Registry handles, resolved once in init(); the registry is private when
+  // the config names none.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   AtomicCounter* c_msgs_out_ = nullptr;
   AtomicCounter* c_bytes_out_ = nullptr;
   AtomicCounter* c_msgs_in_ = nullptr;

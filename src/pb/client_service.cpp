@@ -1,16 +1,6 @@
 #include "pb/client_service.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/op_span.h"
@@ -18,19 +8,8 @@
 
 namespace zab::pb {
 
-namespace {
-
-constexpr std::uint32_t kMaxFrame = 16u << 20;
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) >= 0;
-}
-
-}  // namespace
-
 ClientService::ClientService(net::RuntimeEnv& env, ReplicatedTree& tree)
-    : env_(&env), tree_(&tree) {
+    : env_(&env), tree_(&tree), reactor_([this] { drain_out(); }) {
   auto& m = tree.node().metrics();
   c_reconnects_ = &m.counter("pb.client.reconnects");
   c_reads_local_ = &m.counter("zab.read.served_local");
@@ -55,42 +34,17 @@ ClientService::ClientService(net::RuntimeEnv& env, ReplicatedTree& tree)
 ClientService::~ClientService() { stop(); }
 
 Status ClientService::start(const std::string& host, std::uint16_t port) {
-  if (::pipe(wake_pipe_) != 0) return Status::io_error("pipe");
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Status::io_error("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::invalid_argument("bad host " + host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::io_error(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) return Status::io_error("listen");
-  set_nonblocking(listen_fd_);
-
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
-  port_ = ntohs(bound.sin_port);
-
+  ZAB_RETURN_IF_ERROR(reactor_.listen_tcp(host, port, &port_, [this](int fd) {
+    const std::uint64_t id = next_conn_id_++;
+    auto on_event = [this, id](std::uint32_t) { on_conn(id); };
+    if (!conns_[id].conn.attach(fd, reactor_, on_event)) conns_.erase(id);
+  }));
   running_ = true;
-  io_thread_ = std::thread([this] { io_loop(); });
-  return Status::ok();
+  return reactor_.start();
 }
 
 void ClientService::stop() {
-  if (!running_.exchange(false)) {
-    if (io_thread_.joinable()) io_thread_.join();
-    return;
-  }
+  if (!running_.exchange(false)) return;
   // Drop parked reads on the loop first: their fence timers capture `this`
   // and must not fire after teardown. The loop is still running here (the
   // service always stops before its node's env).
@@ -98,27 +52,9 @@ void ClientService::stop() {
     for (auto& [fence, pr] : parked_) env_->cancel_timer(pr.timer);
     parked_.clear();
   });
-  wake();
-  if (io_thread_.joinable()) io_thread_.join();
-  for (auto& c : conns_) {
-    if (c.fd >= 0) {
-      ::close(c.fd);
-      c.fd = -1;
-      on_disconnect(c.id);
-    }
-  }
-  conns_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-}
-
-void ClientService::wake() {
-  const char b = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
+  reactor_.stop();
+  for (const auto& [id, c] : conns_) on_disconnect(id);
+  conns_.clear();  // FramedConn closes its socket
 }
 
 void ClientService::respond(std::uint64_t conn_id,
@@ -126,15 +62,49 @@ void ClientService::respond(std::uint64_t conn_id,
   push_frame(conn_id, encode_client_response(resp));
 }
 
-void ClientService::push_frame(std::uint64_t conn_id, const Bytes& payload) {
-  BufWriter framed(payload.size() + 4);
-  framed.u32(static_cast<std::uint32_t>(payload.size()));
-  framed.raw(payload);
+void ClientService::push_frame(std::uint64_t conn_id, Bytes payload) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    pending_out_.emplace_back(conn_id, std::move(framed).take());
+    pending_out_.emplace_back(conn_id, std::move(payload));
   }
-  wake();
+  reactor_.wake();
+}
+
+void ClientService::drain_out() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out_batch_.swap(pending_out_);
+  }
+  for (auto& [id, payload] : out_batch_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // connection gone: drop the frame
+    it->second.dirty = true;
+    // The overflow rule: a client that stopped reading is disconnected.
+    if (it->second.conn.push(std::move(payload)) < 0) close_conn(id);
+  }
+  // Write at once: one sendmsg per connection carries its whole share.
+  for (const auto& [id, payload] : out_batch_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end() || !it->second.dirty) continue;
+    it->second.dirty = false;
+    if (it->second.conn.flush() < 0) close_conn(id);
+  }
+  out_batch_.clear();
+}
+
+void ClientService::on_conn(std::uint64_t conn_id) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  net::FramedConn& conn = it->second.conn;
+  const bool open = conn.read([&] {
+    return conn.pop_frames(
+        [&](Bytes frame) { dispatch(conn_id, std::move(frame)); });
+  });
+  if (!open || conn.flush() < 0) close_conn(conn_id);
+}
+
+void ClientService::close_conn(std::uint64_t conn_id) {
+  if (conns_.erase(conn_id) != 0) on_disconnect(conn_id);
 }
 
 void ClientService::register_watch(std::uint64_t conn_id, ClientOpKind kind,
@@ -360,42 +330,35 @@ void ClientService::handle_connect(std::uint64_t conn_id,
     push_frame(conn_id, encode_connect_response(resp));
     return;
   }
-  if (req.session_id != 0) {
-    // Attach-or-create. The attach runs through the pipeline as a
-    // kTouchSession txn, so an expiry racing with it is decided by zxid
-    // order — and by the time it commits, this replica has applied every
-    // txn the session committed before reconnecting (replay dedup relies
-    // on that).
-    tree_->attach_session(
-        req.session_id, [this, conn_id, req](const OpResult& r) {
-          if (r.status.is_ok()) {
-            c_reconnects_->add();
-            finish_connect(conn_id, r.session_id, /*reattached=*/true);
-            return;
-          }
-          // Expired or unknown: fall back to minting a fresh session.
-          tree_->create_session(req.timeout_ms, [this,
-                                                conn_id](const OpResult& c) {
-            if (!c.status.is_ok()) {
-              ConnectResponse resp;
-              resp.code = c.status.code();
-              push_frame(conn_id, encode_connect_response(resp));
-              return;
-            }
-            finish_connect(conn_id, c.session_id, /*reattached=*/false);
-          });
-        });
-    return;
-  }
-  tree_->create_session(req.timeout_ms, [this, conn_id](const OpResult& r) {
-    if (!r.status.is_ok()) {
+  auto create = [this, conn_id, timeout_ms = req.timeout_ms] {
+    tree_->create_session(timeout_ms, [this, conn_id](const OpResult& r) {
+      if (r.status.is_ok()) {
+        finish_connect(conn_id, r.session_id, /*reattached=*/false);
+        return;
+      }
       ConnectResponse resp;
       resp.code = r.status.code();
       push_frame(conn_id, encode_connect_response(resp));
+    });
+  };
+  if (req.session_id == 0) {
+    create();
+    return;
+  }
+  // Attach-or-create. The attach runs through the pipeline as a
+  // kTouchSession txn, so an expiry racing with it is decided by zxid
+  // order — and by the time it commits, this replica has applied every txn
+  // the session committed before reconnecting (replay dedup relies on
+  // that). An expired or unknown session falls back to a fresh one.
+  auto attached = [this, conn_id, create](const OpResult& r) {
+    if (!r.status.is_ok()) {
+      create();
       return;
     }
-    finish_connect(conn_id, r.session_id, /*reattached=*/false);
-  });
+    c_reconnects_->add();
+    finish_connect(conn_id, r.session_id, /*reattached=*/true);
+  };
+  tree_->attach_session(req.session_id, attached);
 }
 
 void ClientService::finish_connect(std::uint64_t conn_id,
@@ -631,132 +594,6 @@ void ClientService::execute(std::uint64_t conn_id, const ClientRequest& req,
     }
   }
   respond(conn_id, resp);
-}
-
-bool ClientService::parse_frames(Conn& c) {
-  std::size_t pos = 0;
-  while (true) {
-    if (c.in.size() - pos < 4) break;
-    std::uint32_t len = 0;
-    std::memcpy(&len, c.in.data() + pos, 4);
-    if (len > kMaxFrame) return false;
-    if (c.in.size() - pos < 4 + static_cast<std::size_t>(len)) break;
-    Bytes frame(c.in.begin() + static_cast<std::ptrdiff_t>(pos) + 4,
-                c.in.begin() + static_cast<std::ptrdiff_t>(pos) + 4 +
-                    static_cast<std::ptrdiff_t>(len));
-    pos += 4 + len;
-    dispatch(c.id, std::move(frame));
-  }
-  c.in.erase(c.in.begin(), c.in.begin() + static_cast<std::ptrdiff_t>(pos));
-  return true;
-}
-
-void ClientService::io_loop() {
-  while (running_) {
-    // Move queued responses into their connections' out buffers.
-    {
-      std::vector<std::pair<std::uint64_t, Bytes>> out;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        out.swap(pending_out_);
-      }
-      for (auto& [cid, bytes] : out) {
-        for (auto& c : conns_) {
-          if (c.id == cid && c.fd >= 0) {
-            c.out.insert(c.out.end(), bytes.begin(), bytes.end());
-            break;
-          }
-        }
-      }
-    }
-
-    std::erase_if(conns_, [](const Conn& c) { return c.fd < 0; });
-    std::vector<pollfd> pfds;
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (auto& c : conns_) {
-      short ev = POLLIN;
-      if (!c.out.empty()) ev |= POLLOUT;
-      pfds.push_back({c.fd, ev, 0});
-    }
-    // Connections accepted below this point have no pollfd this round.
-    const std::size_t polled = conns_.size();
-
-    const int rc = ::poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) return;
-    if (!running_) return;
-
-    if (pfds[0].revents & POLLIN) {
-      char buf[64];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (pfds[1].revents & POLLIN) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (!set_nonblocking(fd)) {
-          ::close(fd);
-          continue;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        Conn c;
-        c.fd = fd;
-        c.id = next_conn_id_++;
-        conns_.push_back(std::move(c));
-      }
-    }
-
-    for (std::size_t i = 0; i < polled; ++i) {
-      Conn& c = conns_[i];
-      const short rev = pfds[2 + i].revents;
-      if (rev & (POLLERR | POLLHUP)) {
-        ::close(c.fd);
-        c.fd = -1;
-        on_disconnect(c.id);
-        continue;
-      }
-      if (rev & POLLIN) {
-        std::uint8_t buf[16384];
-        while (true) {
-          const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-          if (n > 0) {
-            c.in.insert(c.in.end(), buf, buf + n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          ::close(c.fd);
-          c.fd = -1;
-          on_disconnect(c.id);
-          break;
-        }
-        if (c.fd >= 0 && !parse_frames(c)) {
-          ::close(c.fd);
-          c.fd = -1;
-          on_disconnect(c.id);
-        }
-      }
-      if (c.fd >= 0 && !c.out.empty()) {
-        while (!c.out.empty()) {
-          std::uint8_t chunk[16384];
-          const std::size_t n = std::min(c.out.size(), sizeof(chunk));
-          std::copy_n(c.out.begin(), n, chunk);
-          const ssize_t w = ::send(c.fd, chunk, n, MSG_NOSIGNAL);
-          if (w > 0) {
-            c.out.erase(c.out.begin(),
-                        c.out.begin() + static_cast<std::ptrdiff_t>(w));
-            continue;
-          }
-          if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          ::close(c.fd);
-          c.fd = -1;
-          on_disconnect(c.id);
-          break;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace zab::pb

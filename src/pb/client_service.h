@@ -20,23 +20,31 @@
 // server count. Writes enter the replicated pipeline (forwarded to the
 // primary if this server follows) and are answered when the txn commits.
 // Request execution happens on the replica's event loop; a dedicated IO
-// thread owns the sockets — the same single-threaded-core discipline as
-// the rest of the stack.
+// thread (a Reactor, net/reactor.h) owns the sockets — the same
+// single-threaded-core discipline as the rest of the stack. Responses and
+// watch events are handed to it and queued whole on the connection's
+// FramedConn. A client with more than kClientOutCap bytes queued behind the
+// response being written, and its kernel buffer full, is disconnected; its
+// session survives and the client re-attaches.
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "net/reactor.h"
 #include "net/runtime_env.h"
 #include "pb/client_protocol.h"
 #include "pb/replicated_tree.h"
 
 namespace zab::pb {
+
+/// Largest client frame, either direction.
+inline constexpr std::size_t kMaxClientFrame = 16u << 20;
+/// Per-connection output cap (the overflow rule in net/reactor.h).
+inline constexpr std::size_t kClientOutCap = 4u << 20;
 
 class ClientService {
  public:
@@ -53,16 +61,18 @@ class ClientService {
 
  private:
   struct Conn {
-    int fd = -1;
-    std::uint64_t id = 0;  // connection id only; sessions live separately
-    std::vector<std::uint8_t> in;
-    std::deque<std::uint8_t> out;
+    net::FramedConn conn{kMaxClientFrame, kClientOutCap};
+    bool dirty = false;  // queued output not yet flushed
   };
 
-  void io_loop();
-  void wake();
-  /// IO thread: parse complete frames, dispatch to the replica's loop.
-  bool parse_frames(Conn& c);
+  /// IO thread: read requests off a connection, write what is queued.
+  void on_conn(std::uint64_t conn_id);
+  /// IO thread: close the socket; the session lives on.
+  void close_conn(std::uint64_t conn_id);
+  /// IO thread, on wake: queue handed-over frames on their connections
+  /// and write them, one sendmsg per connection.
+  void drain_out();
+  /// IO thread: hand one request frame to the replica's loop.
   void dispatch(std::uint64_t conn_id, Bytes frame);
   /// Replica loop thread: run one request, reply when the result is known.
   /// `ingress_ns` is when the frame was parsed off the wire (IO thread);
@@ -83,7 +93,7 @@ class ClientService {
   /// Any thread: queue a response for a connection and wake the IO thread.
   void respond(std::uint64_t conn_id, const ClientResponse& resp);
   /// Any thread: queue a raw payload (watch-event push) for a connection.
-  void push_frame(std::uint64_t conn_id, const Bytes& payload);
+  void push_frame(std::uint64_t conn_id, Bytes payload);
   /// Replica loop: register a one-shot tree watch that pushes to conn_id.
   void register_watch(std::uint64_t conn_id, ClientOpKind kind,
                       const std::string& path);
@@ -118,17 +128,16 @@ class ClientService {
   net::RuntimeEnv* env_;
   ReplicatedTree* tree_;
 
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread io_thread_;
+  net::Reactor reactor_;
 
   std::mutex mu_;  // guards pending_out_
   std::vector<std::pair<std::uint64_t, Bytes>> pending_out_;
 
   // IO-thread local.
-  std::vector<Conn> conns_;
+  std::vector<std::pair<std::uint64_t, Bytes>> out_batch_;
+  std::unordered_map<std::uint64_t, Conn> conns_;
   std::uint64_t next_conn_id_ = 1;
 
   // Replica-loop local: which session each connection authenticated as.

@@ -17,13 +17,6 @@ namespace zab::pb {
 
 RemoteClient::RemoteClient(ClientConfig cfg) : cfg_(std::move(cfg)) {}
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-RemoteClient::RemoteClient(std::vector<Endpoint> servers, Duration op_timeout)
-    : RemoteClient(ClientConfig{.servers = std::move(servers),
-                                .op_timeout = op_timeout}) {}
-#pragma GCC diagnostic pop
-
 RemoteClient::~RemoteClient() {
   if (fd_ >= 0 && session_id_ != 0) {
     // Graceful close on the existing connection, bounded best effort: the
@@ -400,30 +393,6 @@ Result<ReadResult<Stat>> RemoteClient::stat(const std::string& path,
   }
   return ReadResult<Stat>{resp.value().stat, resp.value().zxid};
 }
-
-// Deprecated positional-watch shims: forward to the ReadOptions overloads,
-// shedding the zxid for callers that predate ReadResult.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Result<Bytes> RemoteClient::get(const std::string& path, bool watch) {
-  auto r = get(path, ReadOptions{.watch = watch});
-  if (!r.is_ok()) return r.status();
-  return std::move(r.value().value);
-}
-
-Result<bool> RemoteClient::exists(const std::string& path, bool watch) {
-  auto r = exists(path, ReadOptions{.watch = watch});
-  if (!r.is_ok()) return r.status();
-  return r.value().value;
-}
-
-Result<std::vector<std::string>> RemoteClient::get_children(
-    const std::string& path, bool watch) {
-  auto r = get_children(path, ReadOptions{.watch = watch});
-  if (!r.is_ok()) return r.status();
-  return std::move(r.value().value);
-}
-#pragma GCC diagnostic pop
 
 Result<Zxid> RemoteClient::sync() {
   ClientRequest req;

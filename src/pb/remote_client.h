@@ -79,11 +79,6 @@ class RemoteClient {
   };
 
   explicit RemoteClient(ClientConfig cfg);
-  /// Deprecated shim for the old positional form; session parameters take
-  /// their defaults.
-  [[deprecated("use RemoteClient(ClientConfig)")]]
-  explicit RemoteClient(std::vector<Endpoint> servers,
-                        Duration op_timeout = seconds(5));
   /// Gracefully closes the session (its ephemerals die now rather than at
   /// expiry) if a connection is up.
   ~RemoteClient();
@@ -112,14 +107,6 @@ class RemoteClient {
       const std::string& path, const ReadOptions& opts = {});
   Result<ReadResult<Stat>> stat(const std::string& path,
                                 const ReadOptions& opts = {});
-  /// Deprecated positional-watch shims (one release): value-only results.
-  [[deprecated("use get(path, ReadOptions{...})")]]
-  Result<Bytes> get(const std::string& path, bool watch);
-  [[deprecated("use exists(path, ReadOptions{...})")]]
-  Result<bool> exists(const std::string& path, bool watch);
-  [[deprecated("use get_children(path, ReadOptions{...})")]]
-  Result<std::vector<std::string>> get_children(const std::string& path,
-                                                bool watch);
   /// Flush a barrier through the broadcast pipeline and return its commit
   /// zxid. After sync() returns, this client's fence covers every write
   /// committed before the call — ZooKeeper's recipe for clients that learn

@@ -577,6 +577,10 @@ TreeTxn ReplicatedTree::prep(const Op& op, NodeId origin,
       txn.path.clear();
       return txn;
     }
+    case OpType::kReconfig:
+      // A membership change travels alone (see submit); inside a
+      // multi-op write it is a malformed request.
+      return fail(Code::kInvalidArgument);
   }
   return fail(Code::kInternal);
 }

@@ -6,6 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstring>
+#include <thread>
+
 #include "harness/runtime_cluster.h"
 #include "pb/remote_client.h"
 
@@ -33,6 +37,84 @@ struct ClientServerFixture {
     return true;
   }
 };
+
+/// A hand-rolled client connection: u32-length-prefixed frames over a
+/// blocking socket whose sends and receives time out after 5 s.
+struct RawConn {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+
+  /// `rcvbuf` > 0 shrinks the kernel's receive buffer (before connecting,
+  /// so the advertised window shrinks with it).
+  explicit RawConn(std::uint16_t port, int rcvbuf = 0) {
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd);
+      fd = -1;
+    }
+  }
+  ~RawConn() {
+    if (fd >= 0) ::close(fd);
+  }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  static Bytes frame(const Bytes& payload) {
+    BufWriter w;
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.raw(payload);
+    return std::move(w).take();
+  }
+  [[nodiscard]] bool send(const Bytes& b) const {
+    return ::send(fd, b.data(), b.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(b.size());
+  }
+  [[nodiscard]] bool recv_frame(Bytes* out) const {
+    std::uint8_t hdr[4];
+    if (::recv(fd, hdr, 4, MSG_WAITALL) != 4) return false;
+    std::uint32_t len = 0;
+    std::memcpy(&len, hdr, 4);
+    out->resize(len);
+    return ::recv(fd, out->data(), len, MSG_WAITALL) ==
+           static_cast<ssize_t>(len);
+  }
+  /// Open a session; 0 when the handshake fails.
+  std::uint64_t handshake(std::uint32_t timeout_ms) {
+    ConnectRequest req;
+    req.timeout_ms = timeout_ms;
+    Bytes ack;
+    if (!send(frame(encode_connect_request(req))) || !recv_frame(&ack)) {
+      return 0;
+    }
+    auto resp = decode_connect_response(ack);
+    return resp.is_ok() ? resp.value().session_id : 0;
+  }
+};
+
+/// Frames of `count` pipelined getData requests for `path`, xids 1..count.
+Bytes pipelined_gets(const std::string& path, std::uint64_t count,
+                     ReadConsistency consistency, std::uint64_t fence = 0) {
+  Bytes batch;
+  for (std::uint64_t xid = 1; xid <= count; ++xid) {
+    ClientRequest req;
+    req.kind = ClientOpKind::kGetData;
+    req.path = path;
+    req.xid = xid;
+    req.consistency = consistency;
+    req.fence_zxid = fence;
+    const Bytes f = RawConn::frame(encode_client_request(req));
+    batch.insert(batch.end(), f.begin(), f.end());
+  }
+  return batch;
+}
 
 TEST(ClientServer, CrudThroughAnyServer) {
   ClientServerFixture f;
@@ -166,6 +248,99 @@ TEST(ClientServer, GarbageFrameDoesNotCrashServer) {
 
   // Server still works.
   EXPECT_TRUE(probe.exists("/sane").value().value);
+  f.cluster.stop();
+}
+
+TEST(ClientServer, SlowConsumerIsDisconnectedAtTheCapSessionSurvives) {
+  // A raw client pipelines getData of a 1 KiB znode and never reads its
+  // answers. Once its kernel buffers and kClientOutCap of queued answers
+  // are full, the replica closes the connection (the byte bound itself is
+  // FramedConn.OverflowRuleBoundsTheQueue's); another client of the same
+  // replica keeps being served, and the session outlives the connection
+  // until its lease runs out.
+  ClientServerFixture f;
+  ASSERT_TRUE(f.up());
+  const NodeId n = 1;
+  RemoteClient other(ClientConfig{.servers = {{"127.0.0.1", f.cluster.client_port(n)}}});
+  ASSERT_TRUE(other.create("/blob", Bytes(1024, 'b')).is_ok());
+
+  // A small receive buffer keeps the kernel's share of the backlog small.
+  RawConn raw(f.cluster.client_port(n), /*rcvbuf=*/4096);
+  ASSERT_GE(raw.fd, 0);
+  // The lease outlasts the flood by far, even on a busy host.
+  const std::uint64_t sid = raw.handshake(4000);
+  ASSERT_NE(sid, 0u);
+
+  // Pipeline reads in batches, each behind a lease-refreshing ping, until
+  // the replica gives up on the connection.
+  Bytes batch = RawConn::frame(encode_ping_request(PingRequest{sid}));
+  const Bytes gets = pipelined_gets("/blob", 256, ReadConsistency::kLocal);
+  batch.insert(batch.end(), gets.begin(), gets.end());
+  bool closed = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (int b = 0; !closed && std::chrono::steady_clock::now() < deadline; ++b) {
+    closed = !raw.send(batch);
+    if (b % 8 == 0) {
+      ASSERT_TRUE(other.get("/blob").is_ok()) << "batch " << b;
+    }
+  }
+  ASSERT_TRUE(closed);
+  ASSERT_TRUE(other.get("/blob").is_ok());
+
+  auto alive_everywhere = [&] {
+    int alive = 0;
+    for (NodeId m = 1; m <= 3; ++m) {
+      f.cluster.with_tree(m, [&](ReplicatedTree& t) {
+        alive += t.tree().has_session(sid) ? 1 : 0;
+      });
+    }
+    return alive;
+  };
+  auto wait_for = [&](int want, std::chrono::seconds budget) {
+    const auto until = std::chrono::steady_clock::now() + budget;
+    while (alive_everywhere() != want && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return alive_everywhere();
+  };
+  // The disconnect closed no session: every replica holds it (a lagging
+  // one catches up), and still does well after the close.
+  EXPECT_EQ(wait_for(3, std::chrono::seconds(2)), 3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(alive_everywhere(), 3);
+  // Only the lease ends it: the primary's expiry clock reaps it everywhere.
+  EXPECT_EQ(wait_for(0, std::chrono::seconds(20)), 0);
+  f.cluster.stop();
+}
+
+TEST(ClientServer, PipelinedAnswersPastTheCapReachAReadingClient) {
+  // A client that reads while it pipelines can still be sent answers
+  // faster than it drains them: five 1 MiB getData answers overshoot
+  // kClientOutCap. The replica flushes to make room before it applies the
+  // cap, so a client that reads gets every answer, in order.
+  ClientServerFixture f;
+  ASSERT_TRUE(f.up());
+  const NodeId n = 1;
+  RemoteClient writer(ClientConfig{.servers = {{"127.0.0.1", f.cluster.client_port(n)}}});
+  const Bytes big(1u << 20, 'z');
+  ASSERT_TRUE(writer.create("/big", big).is_ok());
+  constexpr std::uint64_t kReads = 5;
+  ASSERT_GT(kReads * big.size(), kClientOutCap);
+
+  RawConn raw(f.cluster.client_port(n));
+  ASSERT_GE(raw.fd, 0);
+  ASSERT_NE(raw.handshake(10000), 0u);
+  ASSERT_TRUE(raw.send(pipelined_gets("/big", kReads, ReadConsistency::kSession,
+                                      writer.last_seen_zxid())));
+  for (std::uint64_t xid = 1; xid <= kReads; ++xid) {
+    Bytes payload;
+    ASSERT_TRUE(raw.recv_frame(&payload)) << "answer " << xid;
+    auto resp = decode_client_response(payload);
+    ASSERT_TRUE(resp.is_ok());
+    EXPECT_EQ(resp.value().xid, xid);
+    EXPECT_EQ(resp.value().code, Code::kOk);
+    EXPECT_TRUE(resp.value().data == big);
+  }
   f.cluster.stop();
 }
 

@@ -1,15 +1,25 @@
 // Tests for the real-runtime layer: event-loop env, in-process transport,
-// TCP transport, and full threaded ensembles over both.
+// the socket layer, TCP transport, and full threaded ensembles over both.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <fstream>
 #include <thread>
 
 #include "harness/runtime_cluster.h"
 #include "net/inproc.h"
+#include "net/reactor.h"
 #include "net/runtime_env.h"
 #include "net/tcp_transport.h"
+#include "pb/remote_client.h"
 
 namespace zab::net {
 namespace {
@@ -266,6 +276,273 @@ TEST(Tcp, SendAfterShutdownDropsCleanly) {
   EXPECT_EQ(reg.counter("net.tcp.msgs_out").value(), 0u);
 }
 
+TEST(Tcp, FramesQueuedBehindAFrameOverTheCapArriveInOrder) {
+  // The SNAP sync path: the leader sends a SNAP bigger than the link's
+  // output cap (an empty queue takes any frame up to kMaxPeerFrame) and, at
+  // once, the sync PROPOSEs and NEWLEADER behind it; heartbeats follow
+  // while the SNAP is still being written. The cap counts only what waits
+  // behind the first frame, so every frame must arrive intact, in order,
+  // and none be dropped.
+  MetricsRegistry reg;
+  TcpConfig c1;
+  c1.id = 1;
+  c1.ports[1] = 0;
+  c1.metrics = &reg;
+  auto t1 = std::move(TcpTransport::create(c1)).take();
+  TcpConfig c2;
+  c2.id = 2;
+  c2.ports[2] = 0;
+  auto t2 = std::move(TcpTransport::create(c2)).take();
+  std::map<NodeId, std::uint16_t> ports{{1, t1->listen_port()},
+                                        {2, t2->listen_port()}};
+  t1->set_peer_ports(ports);
+  t2->set_peer_ports(ports);
+  t1->set_handler([](NodeId, Bytes) {});
+  std::mutex mu;
+  std::vector<Bytes> received;
+  t2->set_handler([&](NodeId, Bytes p) {
+    std::lock_guard<std::mutex> lk(mu);
+    received.push_back(std::move(p));
+  });
+
+  Bytes big(12u << 20);
+  ASSERT_GT(big.size(), kPeerOutCap);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>((i * 7) ^ (i >> 13));
+  }
+  std::vector<Bytes> sent{big};
+  for (int i = 0; i < 8; ++i) sent.push_back(to_bytes("sync-" + std::to_string(i)));
+  for (const Bytes& b : sent) t1->send(2, b);
+  for (int i = 0; i < 8; ++i) {
+    sent.push_back(to_bytes("heartbeat-" + std::to_string(i)));
+    t1->send(2, sent.back());
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(eventually(
+      [&] {
+        std::lock_guard<std::mutex> lk(mu);
+        return received.size() >= sent.size();
+      },
+      10000ms));
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(received.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_TRUE(received[i] == sent[i]) << "frame " << i;
+  }
+  EXPECT_EQ(reg.counter("net.tcp.send_drops").value(), 0u);
+  EXPECT_EQ(reg.counter("net.tcp.conn_breaks").value(), 0u);
+}
+
+TEST(Tcp, SlowPeerLinkClosesAtTheCapThenFramesFlowAgain) {
+  // A peer that accepts but never reads: once the link's queue would pass
+  // kPeerOutCap, the transport drops the link and counts the break and the
+  // discarded frames. Once the peer reads, frames flow over a new link.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 8), 0);
+  socklen_t alen = sizeof(addr);
+  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen);
+  timeval tv{5, 0};  // bounds accept() and recv() below
+  ::setsockopt(lfd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+  MetricsRegistry reg;
+  TcpConfig c1;
+  c1.id = 1;
+  c1.ports[1] = 0;
+  c1.ports[2] = ntohs(addr.sin_port);
+  c1.reconnect_ms = 10;
+  c1.metrics = &reg;
+  auto t1 = std::move(TcpTransport::create(c1)).take();
+  t1->set_handler([](NodeId, Bytes) {});
+  const AtomicCounter& breaks = reg.counter("net.tcp.conn_breaks");
+  const AtomicCounter& drops = reg.counter("net.tcp.send_drops");
+
+  constexpr std::size_t kFrame = 64u << 10;
+  std::size_t sent = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (breaks.value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    t1->send(2, Bytes(kFrame, 0xab));
+    if (++sent % 32 == 0) std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(breaks.value(), 1u) << "link never closed after " << sent;
+  EXPECT_GE(drops.value(), 1u);
+  // Closed at the cap, not before: the peer's kernel buffers plus the
+  // link's queue had taken at least the cap.
+  EXPECT_GE(sent * (kFrame + 4), kPeerOutCap);
+
+  // The stalled connection is dropped; frames sent from now on arrive over
+  // a fresh one, behind its hello.
+  const int stalled = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(stalled, 0);
+  ::close(stalled);
+  std::atomic<bool> seen{false};
+  std::thread peer([&] {
+    std::vector<std::uint8_t> in;
+    while (!seen) {
+      const int fd = ::accept(lfd, nullptr, nullptr);
+      if (fd < 0) return;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      in.clear();
+      std::uint8_t buf[65536];
+      for (ssize_t n; !seen && (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+        in.insert(in.end(), buf, buf + n);
+        std::size_t pos = 8;  // hello
+        while (in.size() >= pos + 4) {
+          std::uint32_t len = 0;
+          std::memcpy(&len, in.data() + pos, 4);
+          if (in.size() < pos + 4 + len) break;
+          if (len == 5 && std::memcmp(in.data() + pos + 4, "after", 5) == 0) {
+            seen = true;
+          }
+          pos += 4 + len;
+        }
+      }
+      ::close(fd);
+    }
+  });
+  EXPECT_TRUE(eventually([&] {
+    t1->send(2, to_bytes("after"));
+    return seen.load();
+  }));
+  seen = true;
+  t1->shutdown();
+  peer.join();
+  ::close(lfd);
+}
+
+TEST(FramedConn, OverflowRuleBoundsTheQueue) {
+  // An empty queue takes any frame up to the frame limit; behind the first
+  // frame, queued bytes stay within the cap. Before attach() push() has no
+  // socket to flush to, so it refuses at once.
+  constexpr std::size_t kMax = 256u << 10;
+  constexpr std::size_t kCap = 64u << 10;
+  Reactor reactor;  // registration only; never started
+  FramedConn conn(kMax, kCap);
+  EXPECT_EQ(conn.push(Bytes(kMax + 1)), -1);  // over the frame limit
+  ASSERT_EQ(conn.push(Bytes(kMax)), 0);       // empty queue: over the cap
+  ASSERT_EQ(conn.push(Bytes(kCap - 8)), 0);   // behind it, kCap - 4 bytes
+  ASSERT_EQ(conn.push(Bytes()), 0);           // exactly the cap
+  EXPECT_EQ(conn.push(Bytes()), -1);          // past it
+  EXPECT_EQ(conn.queued_bytes(), kMax + 4 + kCap);
+  EXPECT_EQ(conn.close(), 3u);  // the unwritten frames are dropped
+  EXPECT_EQ(conn.queued_bytes(), 0u);
+
+  // The raw preamble attach() puts ahead of the first frame (the peer
+  // hello) does not count against the cap either.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  ASSERT_EQ(conn.push(Bytes(kMax)), 0);
+  ASSERT_TRUE(conn.attach(sv[0], reactor, [](std::uint32_t) {}, Bytes(8)));
+  EXPECT_EQ(conn.push(Bytes(kCap - 4)), 0);  // fits without a flush
+  conn.close();
+  ::close(sv[1]);
+
+  // Against a peer that never reads, push() flushes to make room until the
+  // kernel's buffer is full as well, and the queue never holds more than
+  // its first frame plus the cap.
+  FramedConn link(kMax, kCap);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  ASSERT_TRUE(link.attach(sv[0], reactor, [](std::uint32_t) {}));
+  std::size_t pushed = 0;
+  std::size_t peak = 0;
+  int calls = 0;
+  while (pushed < (64u << 20) && (calls = link.push(Bytes(1024))) >= 0) {
+    pushed += 1028;
+    peak = std::max(peak, link.queued_bytes());
+  }
+  EXPECT_EQ(calls, -1);  // refused only once the socket took no more
+  EXPECT_LE(peak, 1028 + kCap);
+  EXPECT_GT(pushed, 1028 + kCap);  // the socket holds the rest
+  std::size_t got = 0;
+  std::uint8_t buf[65536];
+  for (ssize_t n; (n = ::recv(sv[1], buf, sizeof(buf), 0)) > 0;) {
+    got += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(got + link.queued_bytes(), pushed);
+  link.close();
+  ::close(sv[1]);
+}
+
+TEST(Reactor, CoalescedWakesLoseNoHandOff) {
+  // Producers append under a lock and call wake(); the IO thread drains on
+  // wake. However the wakes coalesce, every item must be drained.
+  std::mutex mu;
+  std::vector<int> queued;
+  std::atomic<int> drained{0};
+  Reactor reactor([&] {
+    std::vector<int> batch;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      batch.swap(queued);
+    }
+    drained += static_cast<int>(batch.size());
+  });
+  ASSERT_TRUE(reactor.start().is_ok());
+  constexpr int kPerThread = 20000;
+  std::vector<std::thread> producers;
+  for (int t = 0; t < 3; ++t) {
+    producers.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          queued.push_back(i);
+        }
+        reactor.wake();
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  EXPECT_TRUE(eventually([&] { return drained.load() == 3 * kPerThread; }));
+  reactor.stop();
+}
+
+TEST(Reactor, BurstOfWakesWritesTheEventfdOnce) {
+  // While the IO thread has not drained a wake, more wake() calls write
+  // nothing: a burst costs the calling thread one write syscall, as the
+  // kernel's per-thread IO accounting counts it.
+  if (!std::ifstream("/proc/thread-self/io")) {
+    GTEST_SKIP() << "no per-thread IO accounting";
+  }
+  auto write_syscalls = [] {
+    std::ifstream io("/proc/thread-self/io");
+    std::string key;
+    std::uint64_t value = 0;
+    while (io >> key >> value) {
+      if (key == "syscw:") return value;
+    }
+    return std::uint64_t{0};
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> drains{0};
+  Reactor reactor([&] {
+    ++drains;
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return release; });
+  });
+  ASSERT_TRUE(reactor.start().is_ok());
+  reactor.wake();
+  ASSERT_TRUE(eventually([&] { return drains.load() == 1; }));
+  // The IO thread is inside on_wake: the burst below is not drained yet.
+  const std::uint64_t before = write_syscalls();
+  for (int i = 0; i < 1000; ++i) reactor.wake();
+  EXPECT_EQ(write_syscalls() - before, 1u);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(eventually([&] { return drains.load() == 2; }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(drains.load(), 2);  // the whole burst took one more drain
+  reactor.stop();
+}
+
 TEST(RuntimeCluster, InprocEnsembleElectsAndReplicates) {
   harness::RuntimeClusterConfig cfg;
   cfg.n = 3;
@@ -323,6 +600,67 @@ TEST(RuntimeCluster, TcpEnsembleElectsAndReplicates) {
       return has;
     })) << "node " << n;
   }
+  c.stop();
+}
+
+TEST(RuntimeCluster, TcpSnapSyncOfATreeOverTheLinkCap) {
+  // A follower that falls behind the leader's snapshot catches up by SNAP:
+  // one frame carrying the whole tree, here larger than a link's output
+  // cap, queued together with the sync PROPOSEs and NEWLEADER behind it.
+  harness::RuntimeClusterConfig cfg;
+  cfg.n = 3;
+  cfg.use_tcp = true;
+  cfg.with_client_service = true;
+  constexpr int kBlobs = 14;  // 1 MiB each
+  cfg.node.snapshot_every = kBlobs + 1;  // with the client's session txn
+  cfg.node.log_retain = 2;
+  harness::RuntimeCluster c(cfg);
+  ASSERT_TRUE(c.start().is_ok());
+  const NodeId first = c.wait_for_leader(seconds(20));
+  ASSERT_NE(first, kNoNode);
+  const NodeId lag = first == 3 ? 2 : 3;
+  c.mute_node(lag);
+
+  // The session and the 1 MiB znodes reach a snapshot; two small writes
+  // follow it in the log. The SNAP is well over the cap plus what the
+  // socket buffers take, so the frames behind it find most of it unwritten.
+  // The client retries across a leader change, which a slow (sanitizer)
+  // build can cause while one follower is muted.
+  pb::ClientConfig cc;
+  cc.op_timeout = seconds(30);
+  for (NodeId n = 1; n <= 3; ++n) {
+    if (n != lag) cc.servers.push_back({"127.0.0.1", c.client_port(n)});
+  }
+  pb::RemoteClient writer(cc);
+  const Bytes blob(1u << 20, 0x5a);
+  ASSERT_GT(kBlobs * blob.size(), kPeerOutCap);
+  for (int i = 0; i < kBlobs + 2; ++i) {
+    const std::string path = "/b" + std::to_string(i);
+    auto r = writer.create(path, i < kBlobs ? blob : to_bytes("x"));
+    ASSERT_TRUE(r.is_ok()) << path << ": " << r.status().to_string();
+  }
+  const NodeId l = c.wait_for_leader(seconds(20));
+  ASSERT_NE(l, lag);
+  std::uint64_t snapshots = 0;
+  c.with_node(l, [&](ZabNode& n) { snapshots = n.stats().snapshots_taken; });
+  ASSERT_GE(snapshots, 1u);
+
+  const std::uint64_t drops =
+      c.metrics_snapshot(l).counters["net.tcp.send_drops"];
+  c.unmute_node(lag);
+  ASSERT_TRUE(eventually(
+      [&] {
+        return c.view(lag).last_delivered == c.view(l).last_delivered;
+      },
+      30000ms));
+  bool synced = false;
+  c.with_tree(lag, [&](pb::ReplicatedTree& t) {
+    auto v = t.get("/b" + std::to_string(kBlobs - 1));
+    synced = v.is_ok() && v.value().value == blob &&
+             t.exists("/b" + std::to_string(kBlobs + 1));
+  });
+  EXPECT_TRUE(synced);
+  EXPECT_EQ(c.metrics_snapshot(l).counters["net.tcp.send_drops"], drops);
   c.stop();
 }
 

@@ -453,27 +453,5 @@ TEST(ReadConsistencyE2E, ReadYourWritesViaLaggingFollower) {
   f.cluster.stop();
 }
 
-// --- Deprecated shims (one release) ------------------------------------------
-
-TEST(ReadConsistencyE2E, DeprecatedPositionalWatchShimsStillWork) {
-  Fixture f;
-  ASSERT_NE(f.up(), kNoNode);
-  RemoteClient client(ClientConfig{.servers = f.eps});
-  ASSERT_TRUE(client.create("/old-api", to_bytes("compat")).is_ok());
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto v = client.get("/old-api", /*watch=*/false);
-  ASSERT_TRUE(v.is_ok());
-  EXPECT_EQ(v.value(), to_bytes("compat"));  // value-only, pre-ReadResult
-  auto ex = client.exists("/old-api", /*watch=*/true);
-  ASSERT_TRUE(ex.is_ok());
-  EXPECT_TRUE(ex.value());
-  auto kids = client.get_children("/", /*watch=*/false);
-  ASSERT_TRUE(kids.is_ok());
-  EXPECT_FALSE(kids.value().empty());
-#pragma GCC diagnostic pop
-  f.cluster.stop();
-}
-
 }  // namespace
 }  // namespace zab::pb

@@ -296,11 +296,28 @@ TEST(ReplicatedTreeMulti, FailureIsAtomicAndReportsIndex) {
   EXPECT_EQ(out.status.code(), Code::kExists);
   EXPECT_EQ(out.failed_index, 1);
 
+  // A reconfig op is no tree op: inside a multi it is refused as invalid.
+  std::vector<pb::Op> mixed(2);
+  mixed[0].type = pb::OpType::kCreate;
+  mixed[0].path = "/m3";
+  mixed[1].type = pb::OpType::kReconfig;
+  done = false;
+  tc.tree(l).submit_multi(std::move(mixed), [&](const pb::OpResult& r) {
+    out = r;
+    done = true;
+  });
+  const TimePoint deadline2 = tc.c().sim().now() + seconds(10);
+  while (!done && tc.c().sim().now() < deadline2) tc.c().run_for(millis(2));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(out.status.code(), Code::kInvalidArgument);
+  EXPECT_EQ(out.failed_index, 1);
+
   // Nothing applied anywhere: all-or-nothing.
   tc.c().run_for(millis(200));
   for (NodeId n = 1; n <= 3; ++n) {
     EXPECT_FALSE(tc.tree(n).exists("/m1")) << n;
     EXPECT_FALSE(tc.tree(n).exists("/m2")) << n;
+    EXPECT_FALSE(tc.tree(n).exists("/m3")) << n;
   }
 }
 
