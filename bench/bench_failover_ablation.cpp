@@ -67,13 +67,16 @@ std::uint64_t spurious_elections(Duration follower_timeout) {
   SimCluster c(harsh);
   const NodeId l = c.wait_for_leader();
   if (l == kNoNode) return 999;
+  auto rounds = [&c](NodeId n) {
+    return c.node(n).metrics().counter("zab.election.rounds").value();
+  };
   std::uint64_t base = 0;
-  for (NodeId n = 1; n <= 5; ++n) base += c.node(n).stats().elections_started;
+  for (NodeId n = 1; n <= 5; ++n) base += rounds(n);
   const auto res = run_closed_loop(c, 64, 1024, millis(200), seconds(30));
   (void)res;
   std::uint64_t after = 0;
   for (NodeId n = 1; n <= 5; ++n) {
-    if (c.is_up(n)) after += c.node(n).stats().elections_started;
+    if (c.is_up(n)) after += rounds(n);
   }
   return after - base;
 }

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nexpected shape: no-sync and group-commit stay near the network\n"
-      "bound (~52k ops/s); force-each tracks 1/latency once that drops\n"
+      "bound (~60k ops/s); force-each tracks 1/latency once that drops\n"
       "below the network bound. This is why ZooKeeper group-commits to a\n"
       "dedicated log device (paper §6).\n\n");
 

@@ -31,10 +31,11 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(1024)->Arg(65536);
 
+// A live proposal: one txn in the PROPOSEBATCH frame every broadcast uses.
 void BM_EncodePropose(benchmark::State& state) {
-  const ProposeMsg m{3, false, Zxid{3, 41},
-                     Txn{Zxid{3, 42},
-                         make_payload(static_cast<std::size_t>(state.range(0)))}};
+  const ProposeBatchMsg m{
+      3, {Txn{Zxid{3, 42},
+              make_payload(static_cast<std::size_t>(state.range(0)))}}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(encode_message(Message{m}));
   }
@@ -44,10 +45,9 @@ void BM_EncodePropose(benchmark::State& state) {
 BENCHMARK(BM_EncodePropose)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_DecodePropose(benchmark::State& state) {
-  const Bytes wire = encode_message(Message{
-      ProposeMsg{3, false, Zxid{3, 41},
-                 Txn{Zxid{3, 42},
-                     make_payload(static_cast<std::size_t>(state.range(0)))}}});
+  const Bytes wire = encode_message(Message{ProposeBatchMsg{
+      3, {Txn{Zxid{3, 42},
+              make_payload(static_cast<std::size_t>(state.range(0)))}}}});
   for (auto _ : state) {
     auto m = decode_message(wire);
     benchmark::DoNotOptimize(m);

@@ -89,9 +89,10 @@ SyncCost measure_lag(std::size_t lag_ops, bool with_snapshots,
   const double bytes =
       static_cast<double>(c.network().stats().bytes_sent - net_before.bytes_sent);
 
-  const auto& st = c.node(f).stats();
-  const std::uint64_t truncs = st.received[static_cast<int>(MsgType::kTrunc)];
-  const std::uint64_t snaps = st.received[static_cast<int>(MsgType::kSnap)];
+  MetricsRegistry& m = c.node(f).metrics();
+  const std::uint64_t truncs =
+      m.counter("zab.recovery.trunc_received").value();
+  const std::uint64_t snaps = m.counter("zab.recovery.snap_received").value();
   const char* strategy = snaps > 0 ? "SNAP" : (truncs > 0 ? "TRUNC+DIFF" : "DIFF");
   return {strategy, bytes, ms, truncs, snaps};
 }

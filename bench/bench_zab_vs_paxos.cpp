@@ -101,6 +101,7 @@ bool zab_figure1_violates() {
   // proposals reach the followers only partially — the Zab analogue of the
   // Figure-1 message pattern.
   (void)c.node(p1).broadcast(tagged(1, 1));
+  c.run_for(0);  // the primary's loop turn ends: C1's propose leaves
   const NodeId f1 = (p1 % 3) + 1;
   c.network().block_pair(p1, f1);  // C2's propose cannot reach f1
   (void)c.node(p1).broadcast(tagged(1, 2));
@@ -158,6 +159,7 @@ int main(int argc, char** argv) {
     Rng rng(static_cast<std::uint64_t>(trial));
     for (std::uint32_t s = 1; s <= 4; ++s) {
       (void)c.node(l).broadcast(tagged(1, s));
+      c.run_for(0);  // one loop turn per txn, so a block hits the later ones
       if (rng.chance(0.5)) {
         c.network().block_pair(l, (l % 3) + 1);
       }

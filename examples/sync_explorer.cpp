@@ -18,16 +18,13 @@ using namespace zab::harness;
 namespace {
 
 void print_decision(SimCluster& c, NodeId f, const char* scenario) {
-  const auto& st = c.node(f).stats();
-  const auto truncs = st.received[static_cast<int>(MsgType::kTrunc)];
-  const auto snaps = st.received[static_cast<int>(MsgType::kSnap)];
-  const auto sync_entries = st.received[static_cast<int>(MsgType::kPropose)];
+  MetricsRegistry& m = c.node(f).metrics();
+  const auto truncs = m.counter("zab.recovery.trunc_received").value();
+  const auto snaps = m.counter("zab.recovery.snap_received").value();
   const char* decision = snaps ? "SNAP" : (truncs ? "TRUNC + DIFF" : "DIFF");
-  std::printf("  leader's decision: %s  (TRUNC=%llu, SNAP=%llu, replayed/"
-              "received proposals=%llu)\n",
-              decision, static_cast<unsigned long long>(truncs),
-              static_cast<unsigned long long>(snaps),
-              static_cast<unsigned long long>(sync_entries));
+  std::printf("  leader's decision: %s  (TRUNC=%llu, SNAP=%llu)\n", decision,
+              static_cast<unsigned long long>(truncs),
+              static_cast<unsigned long long>(snaps));
   std::printf("  follower %u now at %s — scenario '%s' complete\n\n", f,
               to_string(c.node(f).last_delivered()).c_str(), scenario);
 }
@@ -112,7 +109,9 @@ int main() {
     std::printf("  leader checkpointed %llu times; oldest retained log entry "
                 "is far above the follower's %s\n",
                 static_cast<unsigned long long>(
-                    c.node(l).stats().snapshots_taken),
+                    c.node(l).metrics()
+                        .counter("zab.node.snapshots_taken")
+                        .value()),
                 to_string(Zxid{1, 20}).c_str());
     c.restart(f);
     c.wait_delivered_on({f}, c.node(l).last_committed());

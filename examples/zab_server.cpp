@@ -57,8 +57,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --id N --peers p1,p2,... [--observers K] "
                "--client-port P --data DIR [--fsync] [--group-commit]\n"
-               "       [--batch-txns N] [--admin-port P] [--crash-dump FILE] "
-               "[-v]\n",
+               "       [--admin-port P] [--crash-dump FILE] [-v]\n",
                argv0);
 }
 
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
   std::string data_dir;
   bool fsync = false;
   bool group_commit = false;
-  std::size_t batch_txns = 0;  // 0: leave to ZAB_BATCH_TXNS / default (off)
   // kInfo unless ZAB_LOG_LEVEL overrides (see README: observability).
   logging::set_default_level(LogLevel::kInfo);
 
@@ -101,8 +99,6 @@ int main(int argc, char** argv) {
       fsync = true;
     } else if (arg == "--group-commit") {
       group_commit = true;
-    } else if (arg == "--batch-txns") {
-      batch_txns = std::strtoul(next(), nullptr, 10);
     } else if (arg == "-v") {
       logging::set_level(LogLevel::kDebug);
     } else {
@@ -168,8 +164,6 @@ int main(int argc, char** argv) {
   }
   zc.snapshot_every = 10000;
   zc.log_retain = 20000;
-  // Wire batching: --batch-txns beats ZAB_BATCH_TXNS (0 = defer to env).
-  zc.batch_max_txns = batch_txns;
 
   std::unique_ptr<ZabNode> node;
   std::unique_ptr<pb::ReplicatedTree> tree;

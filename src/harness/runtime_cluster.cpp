@@ -89,7 +89,6 @@ Status RuntimeCluster::start() {
     Slot* slot = s.get();
     slot->env->start([this, slot] {
       ZabConfig nc = cfg_.node;
-      if (cfg_.batch_txns != 0) nc.batch_max_txns = cfg_.batch_txns;
       nc.id = slot->id;
       nc.peers.clear();
       for (std::size_t i = 0; i < cfg_.n; ++i) {
@@ -230,7 +229,6 @@ Status RuntimeCluster::add_server(NodeId id) {
   slots_.push_back(std::move(slot));
   raw->env->start([this, raw, id] {
     ZabConfig nc = cfg_.node;
-    if (cfg_.batch_txns != 0) nc.batch_max_txns = cfg_.batch_txns;
     nc.id = id;
     // Seed config: learner. The original voting ensemble stays in `peers`;
     // the joiner itself boots as an observer, so it locates the leader and

@@ -40,11 +40,6 @@ struct RuntimeClusterConfig {
   /// so durability callbacks keep running on the protocol thread.
   /// ZAB_GROUP_COMMIT=1 in the environment has the same effect.
   bool group_commit = false;
-  /// Wire batching: coalesce up to this many broadcast txns into one
-  /// PROPOSE frame per follower (with one cumulative ACK back and a single
-  /// watermark COMMIT out). 0 leaves the ZabConfig/env resolution alone
-  /// (ZAB_BATCH_TXNS; default off); >= 2 enables, 1 pins batching off.
-  std::size_t batch_txns = 0;
   bool with_trees = true;
   /// Also expose each replica to external clients on an ephemeral TCP port
   /// (see client_port()). Implies with_trees.

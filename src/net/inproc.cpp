@@ -38,20 +38,19 @@ void InprocHub::detach(NodeId id) {
 }
 
 void InprocHub::deliver(NodeId from, NodeId to, Bytes payload) {
-  InprocTransport* target = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = nodes_.find(to);
-    if (it == nodes_.end()) return;  // receiver down: drop, like the network
-    target = it->second;
+  // The receiver's lock is taken before the hub's is released and held
+  // across its handler: shutdown() detaches first and then waits for a
+  // delivery in progress, and none starts after it, so the receiver's owner
+  // may free what the handler uses once shutdown() returns.
+  std::unique_lock<std::mutex> hub_lk(mu_);
+  auto it = nodes_.find(to);
+  if (it == nodes_.end()) return;  // receiver down: drop, like the network
+  InprocTransport* target = it->second;
+  std::lock_guard<std::mutex> lk(target->mu_);
+  hub_lk.unlock();
+  if (target->up_ && target->handler_) {
+    target->handler_(from, std::move(payload));
   }
-  Transport::Handler h;
-  {
-    std::lock_guard<std::mutex> lk(target->mu_);
-    if (!target->up_) return;
-    h = target->handler_;  // copy: survives concurrent shutdown
-  }
-  if (h) h(from, std::move(payload));
 }
 
 }  // namespace zab::net

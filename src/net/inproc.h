@@ -37,8 +37,9 @@ class InprocTransport final : public Transport {
 /// Shared registry; thread-safe.
 class InprocHub {
  public:
-  /// Deliver `payload` to `to` (invokes its handler on the caller's thread;
-  /// receivers post to their event loop).
+  /// Deliver `payload` to `to` (invokes its handler on the caller's thread,
+  /// under the receiver's lock; receivers post to their event loop and must
+  /// not send from the handler).
   void deliver(NodeId from, NodeId to, Bytes payload);
 
  private:

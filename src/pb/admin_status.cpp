@@ -93,21 +93,6 @@ std::string admin_status_json(ZabNode& node, ReplicatedTree* tree,
   out += json::key("snapshot_bytes") + json::num(si.snapshot_bytes);
   out += "},";
 
-  // Wire-batching knobs as resolved by this node (config + env): operators
-  // confirm at a glance whether coalescing is actually on.
-  const ZabConfig& zc = node.config();
-  out += json::key("batching");
-  out += '{';
-  out += json::key("enabled");
-  out += zc.batch_max_txns > 1 ? "true," : "false,";
-  out += json::key("max_txns") +
-         json::num(std::uint64_t{zc.batch_max_txns}) + ',';
-  out += json::key("max_bytes") +
-         json::num(std::uint64_t{zc.batch_max_bytes}) + ',';
-  out += json::key("flush_us") +
-         json::num(std::int64_t{zc.batch_flush_timeout / 1000});
-  out += "},";
-
   out += json::key("build") + build_info::to_json() + ',';
 
   // Phase durations (satellites of the request-attribution plane): how long

@@ -28,6 +28,11 @@ enum class Phase : std::uint8_t {
 
 [[nodiscard]] const char* phase_name(Phase p);
 
+/// The leader flushes its parked PROPOSEBATCH early once the txns in it
+/// reach this many encoded bytes, so one busy loop turn cannot build an
+/// unbounded frame.
+inline constexpr std::size_t kMaxProposeBatchBytes = 128 * 1024;
+
 struct ZabConfig {
   NodeId id = kNoNode;
   /// Voting ensemble members. `id` is in either peers or observers.
@@ -51,6 +56,9 @@ struct ZabConfig {
   Duration sync_timeout = millis(1000);
 
   // --- Broadcast (Phase 3) ---
+  // Wire batching has no knob: the leader sends the txns broadcast in one
+  // loop turn as one PROPOSEBATCH frame, or sooner at kMaxProposeBatchBytes
+  // (docs/PROTOCOL.md §14).
   Duration heartbeat_interval = millis(40);
   /// Follower: give up on the leader after this long without contact.
   Duration follower_timeout = millis(200);
@@ -58,21 +66,6 @@ struct ZabConfig {
   Duration leader_quorum_timeout = millis(200);
   /// Back-pressure: max proposals in flight (not yet committed).
   std::size_t max_outstanding = 2048;
-
-  // --- Wire batching (Phase 3) ---
-  // The leader coalesces consecutive broadcast() txns into one
-  // ProposeBatchMsg frame, flushed when the batch reaches batch_max_txns
-  // txns or batch_max_bytes payload bytes, or when batch_flush_timeout
-  // elapses with the batch non-empty (bounds the latency cost at low load).
-  // A 0 here means "unresolved": ZabNode fills it from the matching env var
-  // (ZAB_BATCH_TXNS / ZAB_BATCH_BYTES / ZAB_BATCH_FLUSH_US) or its
-  // built-in default, so explicit programmatic settings always beat env.
-  // Batching is enabled iff the resolved batch_max_txns > 1; when disabled
-  // the wire carries exactly the legacy one-PROPOSE/one-ACK/one-COMMIT
-  // frame sequence.
-  std::size_t batch_max_txns = 0;   // resolved default: 1 (batching off)
-  std::size_t batch_max_bytes = 0;  // resolved default: 128 KiB
-  Duration batch_flush_timeout = 0; // resolved default: 200 us
 
   // --- Health watchdog ---
   /// Cadence of the stall watchdog (runs for the node's whole life, across

@@ -49,7 +49,6 @@ VoteMsg ZabNode::current_vote_msg() const {
 
 void ZabNode::start_election() {
   ++round_;
-  ++stats_.elections_started;
   c_elections_->add();
   election_started_ = env_->now();
   trace_stage(Zxid::zero(), trace::Stage::kElectionStart, cfg_.id);
@@ -198,7 +197,6 @@ void ZabNode::elected(NodeId leader_id) {
   // node re-enters broadcast, as leader or follower.
   elected_time_ = env_->now();
   if (leader_id == cfg_.id) {
-    ++stats_.times_elected_leader;
     leader_ = cfg_.id;
     role_ = Role::kLeading;
     phase_ = Phase::kDiscovery;

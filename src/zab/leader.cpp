@@ -88,11 +88,7 @@ void ZabNode::leader_try_new_epoch() {
   new_epoch_sent_ = true;
   ZAB_DEBUG() << "node " << cfg_.id << ": proposing NEWEPOCH " << e;
 
-  const Bytes wire = encode_message(NewEpochMsg{e});
-  for (const auto& [nid, fs] : followers_) {
-    ++stats_.sent[static_cast<std::size_t>(MsgType::kNewEpoch)];
-    env_->send(nid, wire);
-  }
+  for (const auto& [nid, fs] : followers_) send_to(nid, NewEpochMsg{e});
 
   // Our own history counts toward the NEWLEADER quorum once durable; in a
   // single-node ensemble this alone activates the epoch.
@@ -158,7 +154,7 @@ void ZabNode::leader_sync_follower(NodeId f) {
 
   Zxid prev = t;
   for (const Txn& txn : storage_->entries_in(t, sync_end)) {
-    send_to(f, ProposeMsg{establishing_epoch_, /*sync=*/true, prev, txn});
+    send_to(f, ProposeMsg{establishing_epoch_, prev, txn});
     prev = txn.zxid;
   }
   send_to(f, NewLeaderMsg{establishing_epoch_, sync_end});
@@ -344,34 +340,9 @@ void ZabNode::note_proposal_ack(Proposal& p, NodeId from) {
 }
 
 void ZabNode::leader_try_commit() {
-  if (!batching_enabled()) {
-    // Commit strictly in zxid order: only the head of the pipeline may
-    // commit, guaranteeing followers see a gap-free commit sequence.
-    while (!proposals_.empty()) {
-      Proposal& p = proposals_.front();
-      if (!proposal_quorum_met(p)) break;  // self is inserted when durable
-      const Zxid z = p.txn.zxid;
-      proposals_.pop_front();
-      ++stats_.txns_committed;
-      note_committed(z, env_->now());
-      c_commits_->add();
-      g_outstanding_->set(static_cast<std::int64_t>(proposals_.size()));
-
-      const Bytes wire = encode_message(CommitMsg{establishing_epoch_, z});
-      for (const auto& [nid, fs] : followers_) {
-        if (fs.stage == FollowerState::Stage::kSyncing ||
-            fs.stage == FollowerState::Stage::kActive) {
-          ++stats_.sent[static_cast<std::size_t>(MsgType::kCommit)];
-          env_->send(nid, wire);
-        }
-      }
-      advance_watermark(z);
-    }
-    return;
-  }
-
-  // Batched: drain every quorum-acked head first (same zxid-order rule),
-  // then announce the final watermark with ONE CommitMsg — on_commit /
+  // Drain every quorum-acked head in zxid order (only the head of the
+  // pipeline may commit, so followers see a gap-free commit sequence), then
+  // announce the final watermark with ONE CommitMsg — on_commit /
   // advance_watermark are cumulative, so a single frame at the last zxid
   // commits the whole run on every follower.
   std::size_t drained = 0;
@@ -381,7 +352,6 @@ void ZabNode::leader_try_commit() {
     if (!proposal_quorum_met(p)) break;  // self is inserted when durable
     last = p.txn.zxid;
     proposals_.pop_front();
-    ++stats_.txns_committed;
     note_committed(last, env_->now());
     c_commits_->add();
     ++drained;
@@ -390,14 +360,12 @@ void ZabNode::leader_try_commit() {
   g_outstanding_->set(static_cast<std::int64_t>(proposals_.size()));
   if (drained > 1) c_commit_coalesced_->add(drained - 1);
 
-  const Bytes wire = encode_message(CommitMsg{establishing_epoch_, last});
-  for (const auto& [nid, fs] : followers_) {
-    if (fs.stage == FollowerState::Stage::kSyncing ||
-        fs.stage == FollowerState::Stage::kActive) {
-      ++stats_.sent[static_cast<std::size_t>(MsgType::kCommit)];
-      env_->send(nid, wire);
-    }
-  }
+  // PROPOSE before COMMIT on every link: a quorum of the leader's own ACK
+  // (one voter) commits txns still parked in this turn's batch, so put them
+  // on the wire first — or an observer finds the COMMIT, and every later
+  // PING's watermark, above its log and resyncs.
+  if (!batch_.empty() && batch_.front().zxid <= last) flush_propose_batch();
+  send_to_followers(CommitMsg{establishing_epoch_, last}, /*syncing=*/true);
   // Deliver AFTER the fan-out: deliver handlers can re-enter broadcast(),
   // and their new proposals must hit the wire after this COMMIT.
   advance_watermark(last);
@@ -444,15 +412,21 @@ void ZabNode::on_request(NodeId from, RequestMsg m) {
   }
 }
 
-void ZabNode::leader_heartbeat() {
-  const Bytes wire = encode_message(
-      PingMsg{establishing_epoch_, commit_watermark_, env_->now()});
+void ZabNode::send_to_followers(const Message& m, bool syncing) {
+  const Bytes wire = encode_message(m);
   for (const auto& [nid, fs] : followers_) {
-    if (fs.stage == FollowerState::Stage::kActive) {
-      ++stats_.sent[static_cast<std::size_t>(MsgType::kPing)];
+    if (fs.stage == FollowerState::Stage::kActive ||
+        (syncing && fs.stage == FollowerState::Stage::kSyncing)) {
+      c_msgs_sent_->add();
       env_->send(nid, wire);
     }
   }
+}
+
+void ZabNode::leader_heartbeat() {
+  send_to_followers(
+      PingMsg{establishing_epoch_, commit_watermark_, env_->now()},
+      /*syncing=*/false);
 }
 
 void ZabNode::leader_check_quorum_liveness() {

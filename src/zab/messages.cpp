@@ -90,7 +90,6 @@ void encode_body(BufWriter& w, const UpToDateMsg& m) {
 }
 void encode_body(BufWriter& w, const ProposeMsg& m) {
   w.u32(m.epoch);
-  w.boolean(m.sync);
   w.zxid(m.prev);
   encode_txn(w, m.txn);
 }
@@ -229,7 +228,6 @@ std::optional<Message> decode_message(std::span<const std::uint8_t> wire) {
     case MsgType::kPropose: {
       ProposeMsg m;
       m.epoch = r.u32();
-      m.sync = r.boolean();
       m.prev = r.zxid();
       m.txn = decode_txn(r);
       out = m;

@@ -3,7 +3,9 @@
 // Naming follows the paper (§4): CEPOCH, NEWEPOCH, ACKEPOCH, NEWLEADER,
 // ACK(NEWLEADER), PROPOSE, ACK, COMMIT — plus ZooKeeper's realization
 // details: Fast-Leader-Election notifications (VOTE), DIFF/TRUNC/SNAP
-// synchronization, UPTODATE activation, and PING/PONG heartbeats.
+// synchronization, UPTODATE activation, and PING/PONG heartbeats. The
+// paper's PROPOSE travels as PROPOSEBATCH, one frame per leader loop turn;
+// PROPOSE itself is the prev-chained frame of the sync replay (DIFF).
 //
 // Every post-election message carries the sender's epoch so stale messages
 // from deposed leaders are rejected by a single check.
@@ -40,7 +42,6 @@ enum class MsgType : std::uint8_t {
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType t);
-inline constexpr int kNumMsgTypes = 17;
 
 /// Fast-Leader-Election notification. The vote (proposed leader + that
 /// leader's history position) is totally ordered by
@@ -110,24 +111,23 @@ struct UpToDateMsg {
   Zxid commit_upto;
 };
 
-/// Leader -> follower: a transaction. `sync` marks history entries replayed
-/// during synchronization (covered by ACK-NEWLEADER, not ACKed per entry).
-/// For sync entries, `prev` is the zxid preceding this one in the sync
-/// stream: the follower only accepts an entry that chains directly onto its
-/// log tail, so entries from a stale/holey stream can never create gaps.
+/// Leader -> follower (sync): one history entry replayed during
+/// synchronization (covered by ACK-NEWLEADER, not ACKed per entry). `prev`
+/// is the zxid preceding this one in the sync stream: the follower only
+/// accepts an entry that chains directly onto its log tail, so entries from
+/// a stale/holey stream can never create gaps. Live proposals travel as
+/// ProposeBatchMsg.
 struct ProposeMsg {
   Epoch epoch = kNoEpoch;
-  bool sync = false;
   Zxid prev;
   Txn txn;
 };
 
-/// Leader -> follower: a coalesced run of consecutive live transactions,
-/// encoded once and fanned out as a single frame. Txns appear in zxid order
-/// and are contiguous (each counter is predecessor's + 1); the follower
-/// appends the whole run in one pass and replies with ONE cumulative ACK at
-/// the last durable zxid. Only the live broadcast path uses batches — the
-/// sync/recovery replay stream keeps single prev-chained ProposeMsg frames.
+/// Leader -> follower: the live proposals the leader broadcast in one loop
+/// turn (one or more), encoded once and fanned out as a single frame. Txns
+/// appear in zxid order and are contiguous (each counter is predecessor's
+/// + 1); the follower appends the whole run in one pass and replies with ONE
+/// cumulative ACK at the last durable zxid.
 struct ProposeBatchMsg {
   Epoch epoch = kNoEpoch;
   std::vector<Txn> txns;

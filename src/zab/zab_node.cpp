@@ -58,27 +58,17 @@ ZabNode::ZabNode(ZabConfig cfg, Env& env, storage::ZabStorage& storage,
   cfg_.stall_lag_zxids =
       env_u64_or("ZAB_STALL_LAG_ZXIDS", cfg_.stall_lag_zxids);
 
-  // Wire-batching knobs: a 0 in the config means "unset", resolved from the
-  // env here — so an explicit programmatic setting always beats env (tests
-  // rely on pinning batching on/off regardless of CI's ZAB_BATCH_TXNS).
-  if (cfg_.batch_max_txns == 0) {
-    cfg_.batch_max_txns = env_u64_or("ZAB_BATCH_TXNS", 1);
-    if (cfg_.batch_max_txns == 0) cfg_.batch_max_txns = 1;  // 0 == off
-  }
-  if (cfg_.batch_max_bytes == 0) {
-    cfg_.batch_max_bytes = env_u64_or("ZAB_BATCH_BYTES", 128 * 1024);
-  }
-  if (cfg_.batch_flush_timeout == 0) {
-    cfg_.batch_flush_timeout = micros(static_cast<std::int64_t>(
-        env_u64_or("ZAB_BATCH_FLUSH_US", 200)));
-  }
-
   // Resolve every hot-path metric once; references are stable for the
   // registry's lifetime.
   c_proposals_ = &metrics_->counter("zab.leader.proposals");
   c_commits_ = &metrics_->counter("zab.leader.commits");
   c_delivered_ = &metrics_->counter("zab.node.delivered");
   c_elections_ = &metrics_->counter("zab.election.rounds");
+  c_msgs_sent_ = &metrics_->counter("zab.node.msgs_sent");
+  c_snapshots_ = &metrics_->counter("zab.node.snapshots_taken");
+  c_resyncs_ = &metrics_->counter("zab.recovery.resyncs");
+  c_sync_trunc_ = &metrics_->counter("zab.recovery.trunc_received");
+  c_sync_snap_ = &metrics_->counter("zab.recovery.snap_received");
   g_outstanding_ = &metrics_->gauge("zab.leader.outstanding");
   h_propose_quorum_ = &metrics_->histogram("zab.stage.propose_to_quorum_ack");
   h_propose_commit_ = &metrics_->histogram("zab.stage.propose_to_commit");
@@ -99,11 +89,8 @@ ZabNode::ZabNode(ZabConfig cfg, Env& env, storage::ZabStorage& storage,
   slow_log_.set_threshold_ns(
       static_cast<std::int64_t>(env_u64_or("ZAB_SLOWLOG_US", 10'000)) * 1000);
   g_slowlog_threshold_us_->set(slow_log_.threshold_ns() / 1000);
-  h_batch_txns_ = &metrics_->histogram("zab.batch.propose_txns");
+  h_batch_size_ = &metrics_->histogram("zab.batch.propose_txns");
   h_batch_bytes_ = &metrics_->histogram("zab.batch.propose_bytes");
-  c_batch_flush_size_ = &metrics_->counter("zab.batch.flush_reason.size");
-  c_batch_flush_bytes_ = &metrics_->counter("zab.batch.flush_reason.bytes");
-  c_batch_flush_timer_ = &metrics_->counter("zab.batch.flush_reason.timer");
   c_ack_coalesced_ = &metrics_->counter("zab.ack.coalesced");
   c_commit_coalesced_ = &metrics_->counter("zab.commit.coalesced");
   c_stall_commit_ = &metrics_->counter("zab.stall.commit");
@@ -366,12 +353,6 @@ std::string ZabNode::mntr_report() const {
   kv("zab_last_delivered", to_string(last_delivered_));
   kv("zab_outstanding_proposals", std::to_string(proposals_.size()));
   kv("zab_pending_appends", std::to_string(pending_appends_));
-  kv("zab_msgs_sent", std::to_string(stats_.total_sent()));
-  kv("zab_txns_committed", std::to_string(stats_.txns_committed));
-  kv("zab_txns_delivered", std::to_string(stats_.txns_delivered));
-  kv("zab_elections_started", std::to_string(stats_.elections_started));
-  kv("zab_resyncs", std::to_string(stats_.resyncs));
-  kv("zab_snapshots_taken", std::to_string(stats_.snapshots_taken));
   out += metrics_->to_text();
   out += op_p99_decomposition(metrics_->snapshot());
   return out;
@@ -395,12 +376,7 @@ std::string ZabNode::mntr_json() const {
   out += json::key("outstanding_proposals") +
          json::num(std::uint64_t{proposals_.size()}) + ',';
   out += json::key("pending_appends") +
-         json::num(std::uint64_t{pending_appends_}) + ',';
-  out += json::key("txns_committed") + json::num(stats_.txns_committed) + ',';
-  out += json::key("txns_delivered") + json::num(stats_.txns_delivered) + ',';
-  out += json::key("elections_started") +
-         json::num(stats_.elections_started) + ',';
-  out += json::key("resyncs") + json::num(stats_.resyncs);
+         json::num(std::uint64_t{pending_appends_});
   out += "},";
   out += json::key("metrics") + metrics_->to_json();
   out += '}';
@@ -503,16 +479,15 @@ std::map<NodeId, std::int64_t> ZabNode::follower_clock_offsets() const {
 // --- Message plumbing -----------------------------------------------------------
 
 void ZabNode::send_to(NodeId to, const Message& m) {
-  ++stats_.sent[static_cast<std::size_t>(message_type(m))];
+  c_msgs_sent_->add();
   env_->send(to, encode_message(m));
 }
 
 void ZabNode::broadcast_to_peers(const Message& m) {
   const Bytes wire = encode_message(m);
-  const auto t = static_cast<std::size_t>(message_type(m));
   for (NodeId p : active_config_.all_members()) {
     if (p == cfg_.id) continue;
-    ++stats_.sent[t];
+    c_msgs_sent_->add();
     env_->send(p, wire);
   }
 }
@@ -523,7 +498,6 @@ void ZabNode::on_message(NodeId from, std::span<const std::uint8_t> wire) {
     ZAB_WARN() << "node " << cfg_.id << ": malformed message from " << from;
     return;
   }
-  ++stats_.received[static_cast<std::size_t>(message_type(*decoded))];
 
   std::visit(
       [this, from](auto&& m) {
@@ -598,9 +572,9 @@ void ZabNode::go_to_election() {
     c_reconfig_aborted_->add();
     pending_config_.reset();
   }
-  // Unflushed batched txns are outstanding proposals of the epoch we just
-  // left; their fate is the next epoch's to decide (they are in storage, so
-  // sync replay will resurrect whatever survives).
+  // Parked txns are outstanding proposals of the epoch we just left; their
+  // fate is the next epoch's to decide (they are in storage, so sync replay
+  // will resurrect whatever survives).
   batch_.clear();
   batch_bytes_ = 0;
   last_acked_ = Zxid{};
@@ -642,7 +616,6 @@ void ZabNode::try_deliver() {
     Txn& t = undelivered_.front();
     assert(t.zxid > last_delivered_);
     last_delivered_ = t.zxid;
-    ++stats_.txns_delivered;
     ++delivered_since_snapshot_;
     const TimePoint now = env_->now();
     trace_.record(t.zxid, trace::Stage::kDeliver, cfg_.id, now);
@@ -698,7 +671,7 @@ void ZabNode::maybe_snapshot() {
   }
   storage_->purge_log(cfg_.log_retain);
   delivered_since_snapshot_ = 0;
-  ++stats_.snapshots_taken;
+  c_snapshots_->add();
 }
 
 // --- Dynamic membership -----------------------------------------------------------
@@ -862,92 +835,44 @@ Result<Zxid> ZabNode::broadcast(Bytes op) {
     st.span.propose_ns = now;
   }
 
-  // Register the proposal BEFORE the append: with synchronous storage the
-  // durability callback (our own ACK) fires inside append().
+  // Register the proposal, and park the txn for the wire, BEFORE the
+  // append: with synchronous storage the durability callback (our own ACK)
+  // fires inside append(), and when that ACK is a quorum (one voter)
+  // leader_try_commit() must find the txn parked, to send its PROPOSE ahead
+  // of its COMMIT.
   last_logged_ = z;
   undelivered_.push_back(txn);
   proposals_.push_back(Proposal{txn, {}});
   g_outstanding_->set(static_cast<std::int64_t>(proposals_.size()));
-  ++stats_.proposals_made;
+  batch_bytes_ += txn_wire_size(txn);
+  batch_.push_back(txn);
+  if (batch_flush_timer_ == kNoTimer) {
+    // Zero delay: every Env runs it right after the current loop turn, so
+    // the txns broadcast in one turn travel as one frame.
+    batch_flush_timer_ = env_->set_timer(0, [this] {
+      batch_flush_timer_ = kNoTimer;
+      flush_propose_batch();
+    });
+  }
   ++pending_appends_;
   storage_->append(txn, [this, z] {
     --pending_appends_;
     note_append_durable(z);
   });
-
-  if (!batching_enabled()) {
-    const Bytes wire = encode_message(ProposeMsg{establishing_epoch_,
-                                                 /*sync=*/false, Zxid{},
-                                                 std::move(txn)});
-    for (const auto& [nid, fs] : followers_) {
-      if (fs.stage == FollowerState::Stage::kSyncing ||
-          fs.stage == FollowerState::Stage::kActive) {
-        ++stats_.sent[static_cast<std::size_t>(MsgType::kPropose)];
-        env_->send(nid, wire);
-      }
-    }
-    return z;
-  }
-
-  // Batched: the txn is already registered (storage, proposals_, span) —
-  // only the wire fan-out waits. Flush on the size/bytes caps; otherwise
-  // the flush timer bounds how long a lone txn can sit here.
-  batch_bytes_ += txn_wire_size(txn);
-  batch_.push_back(std::move(txn));
-  if (batch_.size() >= cfg_.batch_max_txns) {
-    flush_propose_batch(FlushReason::kSize);
-  } else if (batch_bytes_ >= cfg_.batch_max_bytes) {
-    flush_propose_batch(FlushReason::kBytes);
-  } else if (batch_flush_timer_ == kNoTimer) {
-    batch_flush_timer_ = env_->set_timer(cfg_.batch_flush_timeout, [this] {
-      batch_flush_timer_ = kNoTimer;
-      flush_propose_batch(FlushReason::kTimer);
-    });
-  }
+  if (batch_bytes_ >= kMaxProposeBatchBytes) flush_propose_batch();
   return z;
 }
 
-void ZabNode::flush_propose_batch(FlushReason reason) {
+void ZabNode::flush_propose_batch() {
   if (batch_flush_timer_ != kNoTimer) {
     env_->cancel_timer(batch_flush_timer_);
     batch_flush_timer_ = kNoTimer;
   }
   if (batch_.empty()) return;
-  if (role_ != Role::kLeading || !activated_) {
-    // Deposed between accept and flush; go_to_election() already handed the
-    // batch's fate to the next epoch (entries live on in storage).
-    batch_.clear();
-    batch_bytes_ = 0;
-    return;
-  }
-
-  h_batch_txns_->record(batch_.size());
+  h_batch_size_->record(batch_.size());
   h_batch_bytes_->record(batch_bytes_);
-  switch (reason) {
-    case FlushReason::kSize: c_batch_flush_size_->add(); break;
-    case FlushReason::kBytes: c_batch_flush_bytes_->add(); break;
-    case FlushReason::kTimer: c_batch_flush_timer_->add(); break;
-  }
-
-  // A singleton degenerates to the legacy frame: followers that predate
-  // PROPOSEBATCH still interoperate at low load, and the batch framing
-  // overhead is only paid when it amortizes.
-  const bool singleton = batch_.size() == 1;
-  const Bytes wire =
-      singleton
-          ? encode_message(ProposeMsg{establishing_epoch_, /*sync=*/false,
-                                      Zxid{}, std::move(batch_.front())})
-          : encode_message(
-                ProposeBatchMsg{establishing_epoch_, std::move(batch_)});
-  const auto t = static_cast<std::size_t>(singleton ? MsgType::kPropose
-                                                    : MsgType::kProposeBatch);
-  for (const auto& [nid, fs] : followers_) {
-    if (fs.stage == FollowerState::Stage::kSyncing ||
-        fs.stage == FollowerState::Stage::kActive) {
-      ++stats_.sent[t];
-      env_->send(nid, wire);
-    }
-  }
+  send_to_followers(ProposeBatchMsg{establishing_epoch_, std::move(batch_)},
+                    /*syncing=*/true);
   batch_.clear();
   batch_bytes_ = 0;
 }
@@ -1004,7 +929,7 @@ void ZabNode::follower_begin_discovery(NodeId leader_id) {
 void ZabNode::follower_resync() {
   // The stream from the leader had a gap (models a broken TCP connection):
   // rejoin the same leader through discovery.
-  ++stats_.resyncs;
+  c_resyncs_->add();
   ZAB_DEBUG() << "node " << cfg_.id << ": resync with leader " << leader_;
   cancel_phase_timers();
   new_leader_pending_ = false;
@@ -1044,6 +969,7 @@ void ZabNode::on_trunc(NodeId from, const TruncMsg& m) {
       from != leader_ || m.epoch != storage_->accepted_epoch()) {
     return;
   }
+  c_sync_trunc_->add();
   assert(m.truncate_to >= commit_watermark_ &&
          "protocol violation: committed txn truncated");
   if (Status st = storage_->truncate_after(m.truncate_to); !st.is_ok()) {
@@ -1070,6 +996,7 @@ void ZabNode::on_snap(NodeId from, SnapMsg m) {
       from != leader_ || m.epoch != storage_->accepted_epoch()) {
     return;
   }
+  c_sync_snap_->add();
   storage::Snapshot snap{m.last_included, std::move(m.state)};
   if (Status st = storage_->install_snapshot(snap); !st.is_ok()) {
     ZAB_ERROR() << "snapshot install failed: " << st.to_string();
@@ -1178,47 +1105,23 @@ void ZabNode::on_up_to_date(NodeId from, const UpToDateMsg& m) {
 // --- Follower: broadcast phase ------------------------------------------------------------
 
 void ZabNode::on_propose(NodeId from, ProposeMsg m) {
-  if (role_ != Role::kFollowing || from != leader_) return;
-
-  if (m.sync) {
-    // History replay during synchronization; covered by ACK-NEWLEADER.
-    if (phase_ != Phase::kSynchronization ||
-        m.epoch != storage_->accepted_epoch()) {
-      return;
-    }
-    // Only accept entries that chain directly onto our log tail: entries
-    // from a stale sync stream (a previous attempt that lost messages)
-    // cannot silently punch holes into the log.
-    if (m.prev != last_logged_) return;
-    append_follower_entry(std::move(m.txn), AckMode::kSyncReplay, m.epoch);
+  // PROPOSE is the sync-replay frame (live proposals travel as PROPOSEBATCH):
+  // history replayed during synchronization, covered by ACK-NEWLEADER.
+  if (role_ != Role::kFollowing || from != leader_ ||
+      phase_ != Phase::kSynchronization ||
+      m.epoch != storage_->accepted_epoch()) {
     return;
   }
-
-  // Live proposal: requires the epoch to be established on this follower.
-  if (m.epoch != storage_->current_epoch() ||
-      (phase_ != Phase::kBroadcast && phase_ != Phase::kSynchronization)) {
-    return;
-  }
-  last_leader_contact_ = env_->now();
-
-  // Gap detection: proposals arrive in strict zxid order; a hole means we
-  // lost a message (broken channel) and must re-sync with the leader.
-  const Zxid z = m.txn.zxid;
-  const bool contiguous =
-      (z.epoch == last_logged_.epoch && z.counter == last_logged_.counter + 1) ||
-      (z.epoch > last_logged_.epoch && z.counter == 1);
-  if (!contiguous) {
-    if (z <= last_logged_) return;  // duplicate
-    follower_resync();
-    return;
-  }
-  append_follower_entry(std::move(m.txn), AckMode::kLiveAck, m.epoch);
+  // Only accept entries that chain directly onto our log tail: entries from
+  // a stale sync stream (a previous attempt that lost messages) cannot
+  // silently punch holes into the log.
+  if (m.prev != last_logged_) return;
+  append_follower_entry(std::move(m.txn), AckMode::kSyncReplay, m.epoch);
 }
 
 void ZabNode::on_propose_batch(NodeId from, ProposeBatchMsg m) {
   if (role_ != Role::kFollowing || from != leader_) return;
-  // Batches only carry live proposals; same gate as the live ProposeMsg
-  // path: the epoch must already be established on this follower.
+  // Live proposals: the epoch must already be established on this follower.
   if (m.epoch != storage_->current_epoch() ||
       (phase_ != Phase::kBroadcast && phase_ != Phase::kSynchronization)) {
     return;
@@ -1226,7 +1129,7 @@ void ZabNode::on_propose_batch(NodeId from, ProposeBatchMsg m) {
   last_leader_contact_ = env_->now();
 
   // Append the run in one pass. Entries arrive in zxid order, so any
-  // duplicates (a sync replay that overlapped an unflushed batch) form a
+  // duplicates (a sync replay that overlapped a parked batch) form a
   // prefix; once one entry is fresh, every later one must chain on. Only
   // the final entry ACKs — its durability callback fires after all earlier
   // appends completed, so one cumulative ACK covers the whole batch.

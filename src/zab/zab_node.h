@@ -15,12 +15,12 @@
 //                             make a quorum's history identical to the
 //                             leader's before any new proposal.
 //   Phase 3 (broadcast)       PROPOSE/ACK/COMMIT two-phase pipeline, commits
-//                             strictly in zxid order.
+//                             strictly in zxid order; the txns broadcast in
+//                             one loop turn share one PROPOSEBATCH frame.
 //
 // Correctness notes mirrored from the paper are inline where they matter.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -43,24 +43,6 @@
 #include "zab/messages.h"
 
 namespace zab {
-
-struct NodeStats {
-  std::array<std::uint64_t, kNumMsgTypes> sent{};
-  std::array<std::uint64_t, kNumMsgTypes> received{};
-  std::uint64_t proposals_made = 0;
-  std::uint64_t txns_committed = 0;
-  std::uint64_t txns_delivered = 0;
-  std::uint64_t elections_started = 0;
-  std::uint64_t times_elected_leader = 0;
-  std::uint64_t resyncs = 0;  // follower rejoined after gap/timeout
-  std::uint64_t snapshots_taken = 0;
-
-  [[nodiscard]] std::uint64_t total_sent() const {
-    std::uint64_t n = 0;
-    for (auto v : sent) n += v;
-    return n;
-  }
-};
 
 class ZabNode {
  public:
@@ -178,7 +160,6 @@ class ZabNode {
   [[nodiscard]] Zxid last_logged() const { return last_logged_; }
   [[nodiscard]] Zxid last_committed() const { return commit_watermark_; }
   [[nodiscard]] Zxid last_delivered() const { return last_delivered_; }
-  [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] bool is_active_leader() const {
     return role_ == Role::kLeading && phase_ == Phase::kBroadcast;
   }
@@ -363,16 +344,12 @@ class ZabNode {
   void leader_record_acks(NodeId from, Zxid upto);
   void on_pong(NodeId from, const PongMsg& m);
   void on_request(NodeId from, RequestMsg m);
-  /// True once the resolved config asks for wire batching. When false every
-  /// coalescing path is bypassed and the wire carries the legacy
-  /// one-PROPOSE/one-ACK/one-COMMIT frame sequence, byte for byte.
-  [[nodiscard]] bool batching_enabled() const {
-    return cfg_.batch_max_txns > 1;
-  }
-  enum class FlushReason : std::uint8_t { kSize, kBytes, kTimer };
-  /// Encode the pending batch once (a single-txn batch degenerates to the
-  /// legacy ProposeMsg frame) and fan it out to syncing/active followers.
-  void flush_propose_batch(FlushReason reason);
+  /// Send the parked batch as one PROPOSEBATCH frame, encoded once, to the
+  /// syncing and active followers.
+  void flush_propose_batch();
+  /// Encode `m` once and send it to every active follower and, when
+  /// `syncing`, to every follower whose sync stream has gone out too.
+  void send_to_followers(const Message& m, bool syncing);
   void leader_try_commit();
   void leader_heartbeat();
   void leader_check_quorum_liveness();
@@ -414,6 +391,11 @@ class ZabNode {
   AtomicCounter* c_commits_ = nullptr;
   AtomicCounter* c_delivered_ = nullptr;
   AtomicCounter* c_elections_ = nullptr;
+  AtomicCounter* c_msgs_sent_ = nullptr;
+  AtomicCounter* c_resyncs_ = nullptr;
+  AtomicCounter* c_snapshots_ = nullptr;
+  AtomicCounter* c_sync_trunc_ = nullptr;
+  AtomicCounter* c_sync_snap_ = nullptr;
   Gauge* g_outstanding_ = nullptr;
   Histogram* h_propose_quorum_ = nullptr;
   Histogram* h_propose_commit_ = nullptr;
@@ -493,7 +475,6 @@ class ZabNode {
   std::size_t pending_appends_ = 0;
   std::uint64_t delivered_since_snapshot_ = 0;
   bool started_ = false;
-  NodeStats stats_;
 
   // --- Election state ---
   ElectionEpoch round_ = 0;
@@ -504,15 +485,13 @@ class ZabNode {
   TimerId rebroadcast_timer_ = kNoTimer;
 
   // --- Wire batching (see docs/PROTOCOL.md §14) ---
-  Histogram* h_batch_txns_ = nullptr;
+  Histogram* h_batch_size_ = nullptr;
   Histogram* h_batch_bytes_ = nullptr;
-  AtomicCounter* c_batch_flush_size_ = nullptr;
-  AtomicCounter* c_batch_flush_bytes_ = nullptr;
-  AtomicCounter* c_batch_flush_timer_ = nullptr;
   AtomicCounter* c_ack_coalesced_ = nullptr;
   AtomicCounter* c_commit_coalesced_ = nullptr;
-  /// Leader: txns accepted by broadcast() but not yet flushed to the wire
-  /// (they ARE already in storage and proposals_; only the fan-out waits).
+  /// Leader: txns accepted by broadcast() in this loop turn, not yet on the
+  /// wire (they ARE in proposals_ and handed to storage; only the fan-out
+  /// waits for the zero-delay flush timer or the byte limit).
   std::vector<Txn> batch_;
   std::size_t batch_bytes_ = 0;
   TimerId batch_flush_timer_ = kNoTimer;

@@ -60,6 +60,15 @@ TEST(Messages, SyncPhaseRoundTrips) {
     EXPECT_EQ(r.epoch, 6u);
     EXPECT_EQ(r.history_end, (Zxid{5, 10}));
   }
+  {
+    // PROPOSE is the sync-replay frame: each entry names its predecessor.
+    const auto r =
+        roundtrip(ProposeMsg{6, Zxid{5, 9}, Txn{Zxid{5, 10}, to_bytes("op")}});
+    EXPECT_EQ(r.epoch, 6u);
+    EXPECT_EQ(r.prev, (Zxid{5, 9}));
+    EXPECT_EQ(r.txn.zxid, (Zxid{5, 10}));
+    EXPECT_EQ(r.txn.data, to_bytes("op"));
+  }
   EXPECT_EQ(roundtrip(AckNewLeaderMsg{6}).epoch, 6u);
   {
     const auto r = roundtrip(UpToDateMsg{6, Zxid{5, 10}});
@@ -68,14 +77,6 @@ TEST(Messages, SyncPhaseRoundTrips) {
 }
 
 TEST(Messages, BroadcastPhaseRoundTrips) {
-  {
-    ProposeMsg m{6, true, Zxid{5, 9}, Txn{Zxid{5, 10}, to_bytes("op")}};
-    const auto r = roundtrip(m);
-    EXPECT_TRUE(r.sync);
-    EXPECT_EQ(r.prev, (Zxid{5, 9}));
-    EXPECT_EQ(r.txn.zxid, (Zxid{5, 10}));
-    EXPECT_EQ(r.txn.data, to_bytes("op"));
-  }
   EXPECT_EQ(roundtrip(AckMsg{6, Zxid{6, 1}}).zxid, (Zxid{6, 1}));
   EXPECT_EQ(roundtrip(CommitMsg{6, Zxid{6, 1}}).zxid, (Zxid{6, 1}));
   {
@@ -157,7 +158,7 @@ TEST(Messages, EmptyPayloadsAllowed) {
 TEST(Messages, TruncatedInputRejectedAtEveryLength) {
   const Message samples[] = {
       Message{VoteMsg{1, Zxid{1, 1}, 1, 1, Role::kLooking}},
-      Message{ProposeMsg{2, false, Zxid{}, Txn{Zxid{2, 3}, to_bytes("xy")}}},
+      Message{ProposeMsg{2, Zxid{2, 2}, Txn{Zxid{2, 3}, to_bytes("xy")}}},
       Message{SnapMsg{1, Zxid{1, 1}, to_bytes("abcdef")}},
   };
   for (const auto& m : samples) {

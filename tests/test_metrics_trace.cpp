@@ -193,7 +193,7 @@ TEST(MetricsTrace, MntrReportHasNodeStateAndStageHistograms) {
 
   const std::string report = c.node(l).mntr_report();
   EXPECT_NE(report.find("zab_role\tLEADING\n"), std::string::npos);
-  EXPECT_NE(report.find("zab_txns_committed\t20\n"), std::string::npos);
+  EXPECT_NE(report.find("zab.leader.commits\t20\n"), std::string::npos);
   EXPECT_NE(report.find("zab.stage.propose_to_commit_count\t20\n"),
             std::string::npos);
   EXPECT_NE(report.find("zab.stage.commit_to_deliver_p99\t"),

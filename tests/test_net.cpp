@@ -642,7 +642,9 @@ TEST(RuntimeCluster, TcpSnapSyncOfATreeOverTheLinkCap) {
   const NodeId l = c.wait_for_leader(seconds(20));
   ASSERT_NE(l, lag);
   std::uint64_t snapshots = 0;
-  c.with_node(l, [&](ZabNode& n) { snapshots = n.stats().snapshots_taken; });
+  c.with_node(l, [&](ZabNode& n) {
+    snapshots = n.metrics().counter("zab.node.snapshots_taken").value();
+  });
   ASSERT_GE(snapshots, 1u);
 
   const std::uint64_t drops =

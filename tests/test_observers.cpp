@@ -132,6 +132,7 @@ TEST(Observers, ChaosWithObservers) {
       for (int i = 0; i < 3; ++i) {
         (void)c.submit(make_op(static_cast<std::uint64_t>(step * 10 + i), 16));
       }
+      c.run_for(0);  // the leader's turn ends: the ops are on the wire
       const NodeId victim = static_cast<NodeId>(rng.range(1, 5));
       if (rng.chance(0.2) && c.is_up(victim)) {
         // Never take down 2 voting members at once.

@@ -41,6 +41,7 @@ TEST_P(ZabChaos, InvariantsHoldUnderRandomFaults) {
     for (int i = 0; i < burst; ++i) {
       (void)c.submit(make_op(op++, 16));
     }
+    c.run_for(0);  // the leader's turn ends: the burst is on the wire
 
     // Random fault action.
     const auto dice = rng.below(100);
@@ -114,11 +115,13 @@ std::vector<ChaosParams> chaos_grid() {
 //
 // Batching is a wire-level optimisation: multi-txn PROPOSE frames, coalesced
 // cumulative ACKs and watermark COMMITs must change how many frames carry the
-// history, never the history itself. Run the same deterministic schedule —
-// follower crash/restart, minority partition, message loss, and a leader
-// failover — once with batching off (batch_max_txns = 1) and once with it on
-// (= 8), and require the delivered payload sequences to be byte-identical
-// across arms and across all nodes within an arm.
+// history, never the history itself. The leader sends the txns broadcast in
+// one loop turn as one frame, so the driver sets the batch size: run the same
+// deterministic schedule — follower crash/restart, minority partition,
+// message loss, and a leader failover — once running the simulator after
+// every submit (one txn per frame) and once submitting bursts of 8 per turn,
+// and require the delivered payload sequences to be byte-identical across
+// arms and across all nodes within an arm.
 
 using Deliveries = std::map<NodeId, std::vector<Bytes>>;
 
@@ -136,33 +139,44 @@ std::vector<Bytes> first_occurrences(const std::vector<Bytes>& raw) {
   return out;
 }
 
-Deliveries run_batching_arm(std::size_t batch_txns, std::uint64_t seed,
-                            std::uint64_t* ops_out) {
+struct ArmResult {
+  Deliveries delivered;
+  std::uint64_t ops = 0;
+  std::uint64_t largest_batch = 0;  // max of zab.batch.propose_txns
+};
+
+ArmResult run_batching_arm(std::size_t burst, std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.n = 5;
   cfg.seed = seed;
   cfg.net.loss_probability = 0.005;
-  // Pin every knob explicitly so CI's ZAB_BATCH_TXNS legs cannot skew either
-  // arm (programmatic settings beat the environment; see zab/config.h).
-  cfg.node.batch_max_txns = batch_txns;
-  cfg.node.batch_max_bytes = 128 * 1024;
-  cfg.node.batch_flush_timeout = micros(200);
   SimCluster c(cfg);
+  ArmResult out;
 
-  Deliveries delivered;
-  c.add_deliver_hook([&delivered](NodeId n, const Txn& t) {
-    delivered[n].push_back(t.data);
+  c.add_deliver_hook([&out](NodeId n, const Txn& t) {
+    out.delivered[n].push_back(t.data);
   });
+  // A crash or restart rebuilds the node with a fresh registry: read the
+  // batch sizes before every one, and at the end.
+  auto note_batches = [&] {
+    for (NodeId n : c.up_nodes()) {
+      out.largest_batch = std::max(
+          out.largest_batch,
+          c.node(n).metrics().histogram("zab.batch.propose_txns").max());
+    }
+  };
 
   EXPECT_NE(c.wait_for_leader(seconds(60)), kNoNode)
-      << "no initial leader, arm=" << batch_txns;
+      << "no initial leader, arm=" << burst;
 
   std::uint64_t op = 0;
   Zxid last{};
   // Sequential submit with retry: an op counts as accepted only once a leader
   // takes it, and the schedule quiesces before the leader crash below, so no
   // accepted op is ever abandoned — the precondition for cross-arm equality
-  // (Zab only promises delivery of committed txns).
+  // (Zab only promises delivery of committed txns). After every `burst`
+  // accepted ops the simulator runs what is due now, which ends the leader's
+  // loop turn and flushes its batch; a refused submit runs it for 5 ms.
   auto pump = [&](std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       for (int tries = 0; tries < 10000; ++tries) {
@@ -174,11 +188,12 @@ Deliveries run_batching_arm(std::size_t batch_txns, std::uint64_t seed,
         }
         c.run_for(millis(5));
       }
+      if (op % burst == 0) c.run_for(0);
     }
   };
   auto quiesce = [&] {
     EXPECT_TRUE(c.wait_delivered(last, seconds(120)))
-        << "arm=" << batch_txns << " stalled at " << to_string(last);
+        << "arm=" << burst << " stalled at " << to_string(last);
   };
 
   // Phase 1: plain traffic under message loss.
@@ -187,8 +202,10 @@ Deliveries run_batching_arm(std::size_t batch_txns, std::uint64_t seed,
 
   // Phase 2: crash + restart a follower while traffic continues.
   const NodeId f1 = c.leader_id() == 1 ? 2 : 1;
+  note_batches();
   c.crash(f1);
   pump(40);
+  note_batches();
   c.restart(f1);
   pump(20);
   quiesce();
@@ -210,47 +227,53 @@ Deliveries run_batching_arm(std::size_t batch_txns, std::uint64_t seed,
   // in the old leader's batcher (or accepted but uncommitted) die with it,
   // and the two arms buffer differently — equivalence covers committed txns.
   const NodeId l = c.leader_id();
+  note_batches();
   c.crash(l);
   EXPECT_NE(c.wait_for_leader(seconds(60)), kNoNode)
-      << "no post-failover leader, arm=" << batch_txns;
+      << "no post-failover leader, arm=" << burst;
   pump(40);
+  note_batches();
   c.restart(l);
   pump(20);
   quiesce();
+  note_batches();
 
   // The paper's invariants must hold within each arm independently.
   for (const auto& v : c.checker().check()) {
-    ADD_FAILURE() << "arm=" << batch_txns << ": " << v;
+    ADD_FAILURE() << "arm=" << burst << ": " << v;
   }
   for (const auto& v : c.checker().check_agreement(c.up_nodes())) {
-    ADD_FAILURE() << "arm=" << batch_txns << ": " << v;
+    ADD_FAILURE() << "arm=" << burst << ": " << v;
   }
 
-  *ops_out = op;
-  return delivered;
+  out.ops = op;
+  return out;
 }
 
 TEST(ZabBatchingEquivalence, OnAndOffDeliverByteIdenticalSequences) {
-  std::uint64_t ops_off = 0;
-  std::uint64_t ops_on = 0;
-  const Deliveries off = run_batching_arm(1, 0xb42c4, &ops_off);
-  const Deliveries on = run_batching_arm(8, 0xb42c4, &ops_on);
+  const ArmResult off = run_batching_arm(1, 0xb42c4);
+  const ArmResult on = run_batching_arm(8, 0xb42c4);
+
+  // Neither arm may quietly become the other: the reference arm's frames
+  // carry one txn each, the batched arm's whole bursts.
+  EXPECT_EQ(off.largest_batch, 1u);
+  EXPECT_GE(on.largest_batch, 8u);
 
   // Both arms accept the identical op list: payloads are a function of the
   // per-arm accept counter, and the schedule never abandons an accepted op.
-  ASSERT_EQ(ops_off, ops_on);
-  ASSERT_GE(ops_off, 160u);
-  ASSERT_EQ(off.size(), 5u);
-  ASSERT_EQ(on.size(), 5u);
+  ASSERT_EQ(off.ops, on.ops);
+  ASSERT_GE(off.ops, 160u);
+  ASSERT_EQ(off.delivered.size(), 5u);
+  ASSERT_EQ(on.delivered.size(), 5u);
 
-  const std::vector<Bytes> ref = first_occurrences(off.at(1));
-  EXPECT_EQ(ref.size(), ops_off) << "unbatched arm lost accepted ops";
+  const std::vector<Bytes> ref = first_occurrences(off.delivered.at(1));
+  EXPECT_EQ(ref.size(), off.ops) << "reference arm lost accepted ops";
   for (NodeId id = 1; id <= 5; ++id) {
-    EXPECT_EQ(first_occurrences(off.at(id)), ref)
-        << "node " << unsigned{id} << " diverges within the unbatched arm";
-    EXPECT_EQ(first_occurrences(on.at(id)), ref)
+    EXPECT_EQ(first_occurrences(off.delivered.at(id)), ref)
+        << "node " << unsigned{id} << " diverges within the reference arm";
+    EXPECT_EQ(first_occurrences(on.delivered.at(id)), ref)
         << "node " << unsigned{id}
-        << " (batching on) diverges from the unbatched delivery sequence";
+        << " (bursts of 8) diverges from the reference delivery sequence";
   }
 }
 
@@ -351,6 +374,7 @@ TEST_P(ZabReconfigSafety, ConfigSequenceAgreesAndDeliveriesStayPrefixes) {
     for (int i = 0; i < burst; ++i) {
       (void)c.submit(make_op(op++, 16));
     }
+    c.run_for(0);  // the leader's turn ends: the burst is on the wire
 
     if (step >= 30) try_promote();
     if (step >= 70) try_remove();

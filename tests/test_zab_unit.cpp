@@ -17,10 +17,6 @@ ZabConfig three_node_cfg(NodeId id) {
   ZabConfig cfg;
   cfg.id = id;
   cfg.peers = {1, 2, 3};
-  // These tests assert the exact legacy frame sequence; pin wire batching
-  // off so a ZAB_BATCH_TXNS env (the CI batching matrix leg) can't coalesce
-  // the frames under them. Batch-specific behavior has its own tests below.
-  cfg.batch_max_txns = 1;
   return cfg;
 }
 
@@ -35,12 +31,13 @@ struct Fixture {
   ZabNode node;
   std::vector<Txn> delivered;
 
-  explicit Fixture(NodeId id) : Fixture(three_node_cfg(id)) {}
-
-  /// Custom-config variant (the wire-batching tests pin their own knobs).
-  explicit Fixture(ZabConfig cfg)
-      : env(cfg.id), node(std::move(cfg), env, storage) {
+  explicit Fixture(NodeId id)
+      : env(id), node(three_node_cfg(id), env, storage) {
     node.add_deliver_handler([this](const Txn& t) { delivered.push_back(t); });
+  }
+
+  [[nodiscard]] std::uint64_t resyncs() const {
+    return node.metrics().counter("zab.recovery.resyncs").value();
   }
 
   /// Drive node 3 to active leadership of epoch 1 with followers 1, 2.
@@ -266,7 +263,6 @@ TEST(ZabUnit, LeaderSyncsLaggingFollowerWithDiff) {
   bool saw_new_leader = false;
   for (const auto& s : sent) {
     if (const auto* p = std::get_if<ProposeMsg>(&s.msg)) {
-      EXPECT_TRUE(p->sync);
       EXPECT_EQ(p->prev, (Zxid{1, 1}));
       EXPECT_EQ(p->txn.zxid, (Zxid{1, 2}));
       saw_sync_entry = true;
@@ -317,11 +313,11 @@ TEST(ZabUnit, FollowerRejectsSyncEntryThatDoesNotChain) {
   (void)f.env.drain();
   // Stale stream entry claiming prev=<1,3> while our log is empty.
   inject(f.node, 3,
-         ProposeMsg{1, true, Zxid{1, 3}, Txn{Zxid{1, 4}, to_bytes("x")}});
+         ProposeMsg{1, Zxid{1, 3}, Txn{Zxid{1, 4}, to_bytes("x")}});
   EXPECT_EQ(f.node.last_logged(), Zxid::zero());  // dropped
   // A correctly chained entry is accepted.
   inject(f.node, 3,
-         ProposeMsg{1, true, Zxid::zero(), Txn{Zxid{1, 1}, to_bytes("y")}});
+         ProposeMsg{1, Zxid::zero(), Txn{Zxid{1, 1}, to_bytes("y")}});
   EXPECT_EQ(f.node.last_logged(), (Zxid{1, 1}));
 }
 
@@ -346,7 +342,7 @@ TEST(ZabUnit, FollowerResyncsOnNewLeaderHistoryMismatch) {
   }
   EXPECT_FALSE(acked);
   EXPECT_TRUE(re_cepoch);
-  EXPECT_EQ(f.node.stats().resyncs, 1u);
+  EXPECT_EQ(f.resyncs(), 1u);
 }
 
 TEST(ZabUnit, FollowerAcksNewLeaderAndDeliversOnUpToDate) {
@@ -359,7 +355,7 @@ TEST(ZabUnit, FollowerAcksNewLeaderAndDeliversOnUpToDate) {
   inject(f.node, 3, NewEpochMsg{1});
   (void)f.env.drain();
   inject(f.node, 3,
-         ProposeMsg{1, true, Zxid::zero(), Txn{Zxid{1, 1}, to_bytes("a")}});
+         ProposeMsg{1, Zxid::zero(), Txn{Zxid{1, 1}, to_bytes("a")}});
   inject(f.node, 3, NewLeaderMsg{1, Zxid{1, 1}});
   auto acks = f.env.drain_of<AckNewLeaderMsg>();
   ASSERT_EQ(acks.size(), 1u);
@@ -381,9 +377,10 @@ TEST(ZabUnit, LeaderBroadcastCommitsAfterQuorumAck) {
   auto r = f.node.broadcast(to_bytes("op1"));
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), (Zxid{1, 1}));
-  auto proposes = f.env.drain_of<ProposeMsg>();
+  f.env.advance(0);  // end of the loop turn: the parked txn goes out
+  auto proposes = f.env.drain_of<ProposeBatchMsg>();
   ASSERT_EQ(proposes.size(), 2u);  // both synced followers
-  EXPECT_FALSE(proposes[0].second.sync);
+  EXPECT_EQ(proposes[0].second.txns.size(), 1u);
   EXPECT_TRUE(f.delivered.empty());  // self-durable alone is not a quorum
 
   inject(f.node, 1, AckMsg{1, Zxid{1, 1}});
@@ -429,8 +426,7 @@ TEST(ZabUnit, BackpressureAtMaxOutstanding) {
 TEST(ZabUnit, FollowerLogsAcksAndDeliversOnCommit) {
   Fixture f(1);
   f.make_follower_of_epoch1();
-  inject(f.node, 3,
-         ProposeMsg{1, false, Zxid{}, Txn{Zxid{1, 1}, to_bytes("p")}});
+  inject(f.node, 3, ProposeBatchMsg{1, {Txn{Zxid{1, 1}, to_bytes("p")}}});
   auto acks = f.env.drain_of<AckMsg>();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].second.zxid, (Zxid{1, 1}));
@@ -439,43 +435,17 @@ TEST(ZabUnit, FollowerLogsAcksAndDeliversOnCommit) {
   ASSERT_EQ(f.delivered.size(), 1u);
 }
 
-TEST(ZabUnit, FollowerIgnoresProposalFromWrongEpochOrSender) {
-  Fixture f(1);
-  f.make_follower_of_epoch1();
-  // Wrong epoch.
-  inject(f.node, 3,
-         ProposeMsg{9, false, Zxid{}, Txn{Zxid{9, 1}, to_bytes("evil")}});
-  EXPECT_EQ(f.node.last_logged(), Zxid::zero());
-  // Right epoch, wrong sender (not our leader).
-  inject(f.node, 2,
-         ProposeMsg{1, false, Zxid{}, Txn{Zxid{1, 1}, to_bytes("evil")}});
-  EXPECT_EQ(f.node.last_logged(), Zxid::zero());
-  EXPECT_TRUE(f.env.drain_of<AckMsg>().empty());
-}
-
-TEST(ZabUnit, FollowerResyncsOnProposalGap) {
-  Fixture f(1);
-  f.make_follower_of_epoch1();
-  inject(f.node, 3,
-         ProposeMsg{1, false, Zxid{}, Txn{Zxid{1, 2}, to_bytes("skip")}});
-  EXPECT_EQ(f.node.last_logged(), Zxid::zero());
-  EXPECT_EQ(f.node.stats().resyncs, 1u);
-  auto ce = f.env.drain_of<CEpochMsg>();
-  EXPECT_EQ(ce.size(), 1u);  // rejoining the same leader
-}
-
 TEST(ZabUnit, FollowerResyncsOnCommitAboveLog) {
   Fixture f(1);
   f.make_follower_of_epoch1();
   inject(f.node, 3, CommitMsg{1, Zxid{1, 3}});
-  EXPECT_EQ(f.node.stats().resyncs, 1u);
+  EXPECT_EQ(f.resyncs(), 1u);
 }
 
 TEST(ZabUnit, PingAnsweredWithDurableWatermarkPong) {
   Fixture f(1);
   f.make_follower_of_epoch1();
-  inject(f.node, 3,
-         ProposeMsg{1, false, Zxid{}, Txn{Zxid{1, 1}, to_bytes("p")}});
+  inject(f.node, 3, ProposeBatchMsg{1, {Txn{Zxid{1, 1}, to_bytes("p")}}});
   (void)f.env.drain();
   inject(f.node, 3, PingMsg{1, Zxid{1, 1}});
   auto pongs = f.env.drain_of<PongMsg>();
@@ -534,7 +504,7 @@ TEST(ZabUnit, LeaderServicesLateJoinerDuringBroadcast) {
   bool saw_nl = false;
   for (const auto& s : sent) {
     if (const auto* p = std::get_if<ProposeMsg>(&s.msg)) {
-      saw_entry |= (p->sync && p->txn.zxid == Zxid{1, 1});
+      saw_entry |= p->txn.zxid == Zxid{1, 1};
     }
     saw_nl |= std::holds_alternative<NewLeaderMsg>(s.msg);
   }
@@ -550,9 +520,11 @@ TEST(ZabUnit, RequestForwardedToLeaderIsBroadcast) {
   Fixture f(3);
   f.make_leader_of_epoch1();
   inject(f.node, 1, RequestMsg{to_bytes("client-op")});
-  auto proposes = f.env.drain_of<ProposeMsg>();
+  f.env.advance(0);
+  auto proposes = f.env.drain_of<ProposeBatchMsg>();
   ASSERT_EQ(proposes.size(), 2u);
-  EXPECT_EQ(proposes[0].second.txn.data, to_bytes("client-op"));
+  ASSERT_EQ(proposes[0].second.txns.size(), 1u);
+  EXPECT_EQ(proposes[0].second.txns[0].data, to_bytes("client-op"));
 }
 
 TEST(ZabUnit, FollowerForwardsSubmitToLeader) {
@@ -575,23 +547,15 @@ TEST(ZabUnit, MalformedMessageIsDropped) {
 
 // --- Wire batching (docs/PROTOCOL.md §14) --------------------------------------
 
-ZabConfig batching_cfg(NodeId id, std::size_t batch_txns) {
-  ZabConfig cfg = three_node_cfg(id);
-  cfg.batch_max_txns = batch_txns;
-  cfg.batch_max_bytes = 128 * 1024;
-  cfg.batch_flush_timeout = micros(200);
-  return cfg;
-}
-
-TEST(ZabUnit, BatchFlushesAtSizeCapAndCommitsWithOneWatermark) {
-  Fixture f(batching_cfg(3, 4));
+TEST(ZabUnit, BatchFlushesAtTurnEndAndCommitsWithOneWatermark) {
+  Fixture f(3);
   f.make_leader_of_epoch1();
 
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(f.node.broadcast(to_bytes("op")).is_ok());
   }
-  EXPECT_TRUE(f.env.drain().empty());  // below the cap: nothing on the wire
-  ASSERT_TRUE(f.node.broadcast(to_bytes("op")).is_ok());
+  EXPECT_TRUE(f.env.drain().empty());  // mid-turn: nothing on the wire yet
+  f.env.advance(0);                    // the loop turn ends
 
   auto batches = f.env.drain_of<ProposeBatchMsg>();
   ASSERT_EQ(batches.size(), 2u);  // one frame per synced follower
@@ -610,45 +574,129 @@ TEST(ZabUnit, BatchFlushesAtSizeCapAndCommitsWithOneWatermark) {
   EXPECT_EQ(f.node.metrics().counter("zab.commit.coalesced").value(), 3u);
 }
 
-TEST(ZabUnit, BatchTimerFlushesPartialBatchAsLegacyFrame) {
-  Fixture f(batching_cfg(3, 32));
+TEST(ZabUnit, LoneTxnFlushesAtTurnEndAsOneTxnBatch) {
+  Fixture f(3);
   f.make_leader_of_epoch1();
 
   ASSERT_TRUE(f.node.broadcast(to_bytes("lone")).is_ok());
   EXPECT_TRUE(f.env.drain().empty());
-  f.env.advance(millis(1));  // past the 200us flush timer
+  f.env.advance(0);  // no wait beyond the end of the turn
 
-  // A singleton batch degenerates to the legacy single-txn frame.
-  auto proposes = f.env.drain_of<ProposeMsg>();
+  auto proposes = f.env.drain_of<ProposeBatchMsg>();
   ASSERT_EQ(proposes.size(), 2u);
-  EXPECT_FALSE(proposes[0].second.sync);
-  EXPECT_EQ(proposes[0].second.txn.zxid, (Zxid{1, 1}));
-  EXPECT_EQ(
-      f.node.metrics().counter("zab.batch.flush_reason.timer").value(), 1u);
+  ASSERT_EQ(proposes[0].second.txns.size(), 1u);
+  EXPECT_EQ(proposes[0].second.txns[0].zxid, (Zxid{1, 1}));
 
-  // Two more: the timer re-arms and flushes a true batch this time.
+  // The next turn's txns form the next frame.
   ASSERT_TRUE(f.node.broadcast(to_bytes("a")).is_ok());
   ASSERT_TRUE(f.node.broadcast(to_bytes("b")).is_ok());
-  f.env.advance(millis(1));
+  f.env.advance(0);
   auto batches = f.env.drain_of<ProposeBatchMsg>();
   ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0].second.txns.size(), 2u);
+  ASSERT_EQ(batches[0].second.txns.size(), 2u);
+  EXPECT_EQ(batches[0].second.txns[0].zxid, (Zxid{1, 2}));
+  EXPECT_EQ(f.node.metrics().histogram("zab.batch.propose_txns").count(), 2u);
 }
 
 TEST(ZabUnit, BatchFlushesAtBytesCap) {
-  ZabConfig cfg = batching_cfg(3, 1000);
-  cfg.batch_max_bytes = 64;
-  Fixture f(cfg);
+  Fixture f(3);
   f.make_leader_of_epoch1();
 
-  ASSERT_TRUE(f.node.broadcast(Bytes(40, 0xab)).is_ok());
+  // Two payloads that together pass kMaxProposeBatchBytes: the second one
+  // flushes the batch mid-turn, and the turn's end finds nothing parked.
+  const std::size_t half = kMaxProposeBatchBytes / 2;
+  ASSERT_TRUE(f.node.broadcast(Bytes(half, 0xab)).is_ok());
   EXPECT_TRUE(f.env.drain().empty());
-  ASSERT_TRUE(f.node.broadcast(Bytes(40, 0xcd)).is_ok());
+  ASSERT_TRUE(f.node.broadcast(Bytes(half, 0xcd)).is_ok());
   auto batches = f.env.drain_of<ProposeBatchMsg>();
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].second.txns.size(), 2u);
-  EXPECT_EQ(
-      f.node.metrics().counter("zab.batch.flush_reason.bytes").value(), 1u);
+  f.env.advance(0);
+  EXPECT_TRUE(f.env.drain().empty());
+}
+
+// A single voter's own ACK is a quorum, so with synchronous storage each txn
+// commits inside broadcast(). Its PROPOSE must still reach every link ahead
+// of its COMMIT, and ahead of any PING whose watermark covers it; otherwise
+// the observer finds the COMMIT above its log and resyncs on every write.
+TEST(ZabUnit, SingleVoterLeaderProposesBeforeItCommits) {
+  ZabConfig cfg;
+  cfg.peers = {1};
+  cfg.observers = {2};
+  ScriptedEnv env1(1);
+  ScriptedEnv env2(2);
+  storage::MemStorage st1;
+  storage::MemStorage st2;
+  cfg.id = 1;
+  ZabNode leader(cfg, env1, st1);
+  cfg.id = 2;
+  ZabNode observer(cfg, env2, st2);
+
+  // Both links in FIFO order; the observer's inbound link is logged.
+  std::vector<Message> link;
+  auto pump = [&] {
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (auto& s : env1.drain()) {
+        moved = true;
+        link.push_back(s.msg);
+        observer.on_message(1, encode_message(s.msg));
+      }
+      for (auto& s : env2.drain()) {
+        moved = true;
+        leader.on_message(2, encode_message(s.msg));
+      }
+    }
+  };
+  // Time moves on by `d`, then each loop turn ends (zero-delay timers).
+  auto turn = [&](Duration d) {
+    env1.advance(d);
+    env2.advance(d);
+    pump();
+    env1.advance(0);
+    env2.advance(0);
+    pump();
+  };
+
+  leader.start();
+  observer.start();
+  for (int i = 0; i < 200 && observer.phase() != Phase::kBroadcast; ++i) {
+    turn(millis(5));
+  }
+  ASSERT_TRUE(leader.is_active_leader());
+  ASSERT_EQ(observer.phase(), Phase::kBroadcast);
+  link.clear();
+
+  Zxid last;
+  for (int i = 0; i < 5; ++i) {
+    auto r = leader.broadcast(to_bytes("w" + std::to_string(i)));
+    ASSERT_TRUE(r.is_ok());
+    last = r.value();
+    turn(millis(25));  // a heartbeat PING goes out every other write
+  }
+  EXPECT_EQ(observer.metrics().counter("zab.recovery.resyncs").value(), 0u);
+  EXPECT_EQ(observer.last_delivered(), last);
+
+  Zxid proposed;  // highest zxid the link has carried a PROPOSEBATCH for
+  std::size_t commits = 0;
+  std::size_t pings = 0;
+  for (const Message& m : link) {
+    if (const auto* b = std::get_if<ProposeBatchMsg>(&m)) {
+      proposed = b->txns.back().zxid;
+    } else if (const auto* c = std::get_if<CommitMsg>(&m)) {
+      EXPECT_LE(c->zxid, proposed);
+      ++commits;
+    } else if (const auto* p = std::get_if<PingMsg>(&m)) {
+      EXPECT_LE(p->last_committed, proposed);
+      ++pings;
+    } else {
+      ADD_FAILURE() << "unexpected " << msg_type_name(message_type(m))
+                    << " on the observer's link";
+    }
+  }
+  EXPECT_EQ(proposed, last);
+  EXPECT_EQ(commits, 5u);
+  EXPECT_GE(pings, 2u);
 }
 
 TEST(ZabUnit, FollowerAppendsBatchInOnePassAndAcksOnce) {
@@ -678,8 +726,7 @@ TEST(ZabUnit, FollowerAppendsBatchInOnePassAndAcksOnce) {
 TEST(ZabUnit, FollowerSkipsDuplicatePrefixOfOverlappingBatch) {
   Fixture f(1);
   f.make_follower_of_epoch1();
-  inject(f.node, 3,
-         ProposeMsg{1, false, Zxid{}, Txn{Zxid{1, 1}, to_bytes("a")}});
+  inject(f.node, 3, ProposeBatchMsg{1, {Txn{Zxid{1, 1}, to_bytes("a")}}});
   (void)f.env.drain();
 
   // Batch overlaps the entry already logged: only 2 and 3 append; the one
@@ -700,7 +747,7 @@ TEST(ZabUnit, FollowerResyncsOnBatchGap) {
   // First batch lost on the wire; the next one does not chain onto the log.
   inject(f.node, 3, ProposeBatchMsg{1, {Txn{Zxid{1, 3}, to_bytes("x")},
                                         Txn{Zxid{1, 4}, to_bytes("y")}}});
-  EXPECT_EQ(f.node.stats().resyncs, 1u);
+  EXPECT_EQ(f.resyncs(), 1u);
   auto cepochs = f.env.drain_of<CEpochMsg>();
   EXPECT_EQ(cepochs.size(), 1u);  // rejoining the leader through discovery
   EXPECT_EQ(f.node.last_logged(), Zxid::zero());

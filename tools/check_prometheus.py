@@ -21,9 +21,8 @@ Checks (text format 0.0.4):
     zab_op_total_ns — a missing stage silently skews the p99 decomposition
   - wire-batching families: when any zab_batch_* family appears, the full
     set must travel together — zab_batch_propose_txns / _bytes as
-    summaries, the three zab_batch_flush_reason_* counters, and the
-    zab_ack_coalesced / zab_commit_coalesced companions — a partial scrape
-    makes the frames-per-txn dashboards silently wrong
+    summaries, and the zab_ack_coalesced / zab_commit_coalesced companions
+    — a partial scrape makes the frames-per-txn dashboards silently wrong
   - tiered-read families: when any zab_read_* or zab_sync_* family
     appears, the whole read-path set must travel together — the
     zab_read_served_local / _fenced / _not_ready counters plus the
@@ -186,8 +185,8 @@ def lint(lines):
             )
 
     # Wire-batching families travel as a set too: frames-per-txn dashboards
-    # divide the propose summaries by the flush-reason counters, so a scrape
-    # with only part of the family renders silently wrong ratios.
+    # read the propose summaries beside the coalesced-frame counters, so a
+    # scrape with only part of the family renders silently wrong ratios.
     batch = {
         name
         for name in types
@@ -195,23 +194,14 @@ def lint(lines):
     }
     if batch:
         summaries = {"zab_batch_propose_txns", "zab_batch_propose_bytes"}
-        counters = {
-            "zab_batch_flush_reason_" + r for r in ("size", "bytes", "timer")
-        }
-        expected = summaries | counters
-        for name in sorted(expected - batch):
+        for name in sorted(summaries - batch):
             errors.append(f"line 0: incomplete batching set: missing {name}")
-        for name in sorted(batch - expected):
+        for name in sorted(batch - summaries):
             errors.append(f"line 0: unknown batching family {name}")
         for name in sorted(batch & summaries):
             if types[name] != "summary":
                 errors.append(
                     f"line 0: {name} must be a summary, is {types[name]}"
-                )
-        for name in sorted(batch & counters):
-            if types[name] != "counter":
-                errors.append(
-                    f"line 0: {name} must be a counter, is {types[name]}"
                 )
         for name in ("zab_ack_coalesced", "zab_commit_coalesced"):
             if types.get(name) != "counter":
