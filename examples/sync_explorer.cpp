@@ -17,6 +17,13 @@ using namespace zab::harness;
 
 namespace {
 
+harness::ClusterConfig cluster(std::size_t n, std::uint64_t seed) {
+  harness::ClusterConfig cfg;
+  cfg.n = n;
+  cfg.seed = seed;
+  return cfg;
+}
+
 void print_decision(SimCluster& c, NodeId f, const char* scenario) {
   MetricsRegistry& m = c.node(f).metrics();
   const auto truncs = m.counter("zab.recovery.trunc_received").value();
@@ -38,7 +45,7 @@ int main() {
   // ---------- 1. Short lag: DIFF -------------------------------------------
   {
     std::printf("[1] follower misses 40 txns (leader keeps its whole log)\n");
-    SimCluster c({.n = 3, .seed = 1});
+    SimCluster c(cluster(3, 1));
     const NodeId l = c.wait_for_leader();
     const NodeId f = (l == 1) ? 2 : 1;
     (void)c.replicate_ops(20, 64);
@@ -56,7 +63,7 @@ int main() {
   // ---------- 2. Uncommitted tail: TRUNC + DIFF ------------------------------
   {
     std::printf("[2] follower holds an uncommitted tail from a dead epoch\n");
-    SimCluster c({.n = 5, .seed = 2});
+    SimCluster c(cluster(5, 2));
     const NodeId l = c.wait_for_leader();
     const NodeId f = (l == 1) ? 2 : 1;
     (void)c.replicate_ops(20, 64);

@@ -239,17 +239,14 @@ void ReplicatedTree::handle_request(Bytes payload) {
 
   const auto res = node_->broadcast(encode_tree_txn(out));
   if (res.is_ok()) {
-    // Fill the span broadcast() just seeded with the client's identity. The
-    // origin replica writes the reply, so only ops born here keep their span
-    // open past delivery.
+    // Fill the span broadcast() just seeded with the client's identity.
     std::uint32_t payload_bytes = 0;
     for (const Op& op : r.ops) {
       payload_bytes += static_cast<std::uint32_t>(op.data.size());
     }
     node_->annotate_op_span(res.value(), r.session_id, r.cxid, r.ingress_ns,
                             static_cast<std::uint8_t>(r.ops.front().type),
-                            r.ops.front().path, payload_bytes,
-                            /*expect_reply=*/r.origin == node_->id());
+                            r.ops.front().path, payload_bytes);
   }
   if (!res.is_ok()) {
     // Back-pressure or leadership lost mid-call: the origin's retry loop
@@ -671,8 +668,8 @@ void ReplicatedTree::on_deliver(const Txn& txn) {
     release_outstanding_for(t);
   }
 
-  // Complete the client callback at the origin, then close the op's span:
-  // the reply (if any) has been written by the callback chain.
+  // Complete the client callback at the origin, then stamp the reply on the
+  // op's span: the reply (if any) has been written by the callback chain.
   if (t.origin == node_->id()) {
     complete(t, txn.zxid,
              t.kind == TxnKind::kError ? Status(t.error, "op failed")

@@ -17,6 +17,7 @@
 // CEPOCH → sync → UPTODATE path against the established epoch, like
 // ZooKeeper's per-learner LearnerHandler.
 #include <algorithm>
+#include <cassert>
 #include <string>
 
 #include "common/clock_sync.h"
@@ -33,7 +34,6 @@ void ZabNode::leader_begin_discovery() {
   followers_.clear();
   newleader_acks_.clear();
   synced_observers_.clear();
-  proposals_.clear();
   activated_ = false;
   new_epoch_sent_ = false;
   self_history_durable_ = false;
@@ -60,7 +60,13 @@ void ZabNode::on_cepoch(NodeId from, const CEpochMsg& m) {
   fs.current_epoch = m.current_epoch;
   fs.last_zxid = m.last_zxid;
   fs.last_contact = env_->now();
-  followers_[from] = fs;  // re-joining followers restart from scratch
+  // A re-joining follower restarts from scratch, except for its durable
+  // acks: its log still holds what it acked, because a leader never
+  // truncates its own proposals.
+  if (auto it = followers_.find(from); it != followers_.end()) {
+    fs.acked = it->second.acked;
+  }
+  followers_[from] = fs;
 
   if (new_epoch_sent_) {
     // Epoch already chosen (late CEPOCH or re-join): offer it directly.
@@ -276,28 +282,24 @@ void ZabNode::on_ack(NodeId from, const AckMsg& m) {
   }
   auto it = followers_.find(from);
   if (it == followers_.end()) return;
-  it->second.last_contact = env_->now();
-  if (m.zxid > it->second.last_zxid) it->second.last_zxid = m.zxid;
-
-  if (active_config_.is_voter(from) ||
-      (pending_config_ && pending_config_->config.is_voter(from))) {
-    leader_record_acks(from, m.zxid);
-  }
+  FollowerState& fs = it->second;
+  fs.last_contact = env_->now();
+  if (m.zxid > fs.last_zxid) fs.last_zxid = m.zxid;
+  leader_record_acks(from, fs, m.zxid);
 }
 
-void ZabNode::leader_record_acks(NodeId from, Zxid upto) {
+void ZabNode::leader_record_acks(NodeId from, FollowerState& fs, Zxid upto) {
   // ACKs are cumulative: followers log in order, so durability of `upto`
-  // implies durability of every earlier proposal. This also lets PONGs (which
-  // carry the follower's durable watermark) repair ACKs lost on the wire.
-  if (proposals_.empty() || upto.epoch != establishing_epoch_) return;
-  const std::uint32_t front = proposals_.front().txn.zxid.counter;
-  if (upto.counter < front) return;  // all already committed
-  const std::size_t end =
-      std::min<std::size_t>(upto.counter - front + 1, proposals_.size());
-  for (std::size_t i = 0; i < end; ++i) {
-    note_proposal_ack(proposals_[i], from);
+  // implies durability of every earlier proposal, and one watermark per
+  // follower stands for all its acks. This also lets PONGs (which carry the
+  // follower's durable watermark) repair ACKs lost on the wire. Acks from
+  // non-voters (observers, learners not in a pending config) never count.
+  if (!active_config_.is_voter(from) &&
+      !(pending_config_ && pending_config_->config.is_voter(from))) {
+    return;
   }
-  leader_try_commit();
+  if (upto > fs.acked) fs.acked = upto;
+  leader_try_commit(from);
 }
 
 // Joint-quorum rule: a proposal at or past a pending reconfig's activation
@@ -306,58 +308,54 @@ void ZabNode::leader_record_acks(NodeId from, Zxid upto) {
 // majority of the old ensemble only, and a successor elected under the new
 // config could miss them. Acks from non-voters (observers, learners still
 // syncing, departed members) never count.
-bool ZabNode::proposal_quorum_met(const Proposal& p) const {
-  const auto count_in = [&p](const std::vector<NodeId>& voters) {
+bool ZabNode::proposal_quorum_met(Zxid z) const {
+  const auto met_in = [this, z](const ClusterConfig& c) {
     std::size_t n = 0;
-    for (NodeId v : voters) n += p.acks.count(v);
-    return n;
+    for (NodeId v : c.voters) {
+      if (v == cfg_.id) {
+        n += last_durable_ >= z;
+      } else if (auto it = followers_.find(v); it != followers_.end()) {
+        n += it->second.acked >= z;
+      }
+    }
+    return n >= c.quorum_size();
   };
-  if (count_in(active_config_.voters) < active_config_.quorum_size()) {
-    return false;
-  }
-  if (pending_config_ && p.txn.zxid >= pending_config_->zxid &&
-      count_in(pending_config_->config.voters) <
-          pending_config_->config.quorum_size()) {
-    return false;
-  }
-  return true;
+  if (!met_in(active_config_)) return false;
+  return !pending_config_ || z < pending_config_->zxid ||
+         met_in(pending_config_->config);
 }
 
-void ZabNode::note_proposal_ack(Proposal& p, NodeId from) {
-  p.acks.insert(from);
-  // Trace ACK at the moment the proposal reaches quorum: that is the
-  // protocol-relevant event, and it keeps PROPOSE <= ACK <= COMMIT
-  // monotone per zxid on the leader's timeline.
-  if (p.quorum_traced || !proposal_quorum_met(p)) return;
-  p.quorum_traced = true;
-  const Zxid z = p.txn.zxid;
-  const TimePoint now = env_->now();
-  trace_.record(z, trace::Stage::kAck, from, now);
-  if (auto it = propose_time_.find(z.packed()); it != propose_time_.end()) {
-    h_propose_quorum_->record(static_cast<std::uint64_t>(now - it->second));
-  }
-  if (SpanState* st = find_span(z)) st->span.quorum_ns = now;
-}
-
-void ZabNode::leader_try_commit() {
+void ZabNode::leader_try_commit(NodeId acker) {
   // Drain every quorum-acked head in zxid order (only the head of the
   // pipeline may commit, so followers see a gap-free commit sequence), then
   // announce the final watermark with ONE CommitMsg — on_commit /
   // advance_watermark are cumulative, so a single frame at the last zxid
   // commits the whole run on every follower.
+  const TimePoint now = env_->now();
   std::size_t drained = 0;
   Zxid last;
-  while (!proposals_.empty()) {
-    Proposal& p = proposals_.front();
-    if (!proposal_quorum_met(p)) break;  // self is inserted when durable
-    last = p.txn.zxid;
-    proposals_.pop_front();
-    note_committed(last, env_->now());
-    c_commits_->add();
+  for (std::size_t i = first_record_after(commit_watermark_);
+       i < undelivered_.size(); ++i) {
+    InFlightTxn& r = undelivered_[i];
+    if (!proposal_quorum_met(r.txn.zxid)) break;
+    // Trace ACK at the ack that completes the quorum: that is the
+    // protocol-relevant event, and it keeps PROPOSE <= ACK <= COMMIT
+    // monotone per zxid on the leader's timeline. Each record passes here
+    // once, as everything found met commits below.
+    if (acker != kNoNode) {
+      assert(r.span.propose_ns >= 0);  // every proposal is stamped
+      r.span.quorum_ns = now;
+      trace_.record(r.txn.zxid, trace::Stage::kAck, acker, now);
+      h_propose_quorum_->record(
+          static_cast<std::uint64_t>(now - r.span.propose_ns));
+    }
+    last = r.txn.zxid;
     ++drained;
   }
   if (drained == 0) return;
-  g_outstanding_->set(static_cast<std::int64_t>(proposals_.size()));
+  raise_watermark(last);
+  c_commits_->add(drained);
+  g_outstanding_->set(static_cast<std::int64_t>(outstanding_proposals()));
   if (drained > 1) c_commit_coalesced_->add(drained - 1);
 
   // PROPOSE before COMMIT on every link: a quorum of the leader's own ACK
@@ -368,7 +366,7 @@ void ZabNode::leader_try_commit() {
   send_to_followers(CommitMsg{establishing_epoch_, last}, /*syncing=*/true);
   // Deliver AFTER the fan-out: deliver handlers can re-enter broadcast(),
   // and their new proposals must hit the wire after this COMMIT.
-  advance_watermark(last);
+  try_deliver();
 }
 
 void ZabNode::on_pong(NodeId from, const PongMsg& m) {
@@ -392,10 +390,7 @@ void ZabNode::on_pong(NodeId from, const PongMsg& m) {
       metrics_->gauge(base + ".rtt_ns").set(it->second.clock.rtt_ns());
     }
   }
-  if (activated_ && (active_config_.is_voter(from) ||
-                     (pending_config_ && pending_config_->config.is_voter(from)))) {
-    leader_record_acks(from, m.last_durable);
-  }
+  if (activated_) leader_record_acks(from, it->second, m.last_durable);
 }
 
 void ZabNode::on_request(NodeId from, RequestMsg m) {
@@ -464,11 +459,9 @@ void ZabNode::update_health_gauges(TimePoint now) {
         .set(static_cast<std::int64_t>(now - fs.last_contact));
     // Proposals the follower has not yet durably acked. The pipeline is
     // zxid-ordered, so this is the suffix beyond its cumulative ACK point.
-    std::size_t outstanding = 0;
-    for (auto rit = proposals_.rbegin(); rit != proposals_.rend(); ++rit) {
-      if (rit->txn.zxid <= fs.last_zxid) break;
-      ++outstanding;
-    }
+    const std::size_t outstanding =
+        undelivered_.size() -
+        first_record_after(std::max(fs.last_zxid, commit_watermark_));
     metrics_->gauge(base + ".outstanding")
         .set(static_cast<std::int64_t>(outstanding));
     if (active_config_.is_voter(nid) &&

@@ -85,7 +85,6 @@ ZabNode::ZabNode(ZabConfig cfg, Env& env, storage::ZabStorage& storage,
   h_op_total_ = &metrics_->histogram("zab.op.total_ns");
   g_slowlog_count_ = &metrics_->gauge("zab.slowlog.count");
   g_slowlog_threshold_us_ = &metrics_->gauge("zab.slowlog.threshold_us");
-  spans_enabled_ = env_u64_or("ZAB_OP_SPANS", 1) != 0;
   slow_log_.set_threshold_ns(
       static_cast<std::int64_t>(env_u64_or("ZAB_SLOWLOG_US", 10'000)) * 1000);
   g_slowlog_threshold_us_->set(slow_log_.threshold_ns() / 1000);
@@ -132,8 +131,9 @@ void ZabNode::start() {
       inst(snap->last_included, app_state);
     }
   }
-  const auto entries = storage_->entries_in(last_delivered_, last_logged_);
-  undelivered_.assign(entries.begin(), entries.end());
+  for (Txn& t : storage_->entries_in(last_delivered_, last_logged_)) {
+    undelivered_.emplace_back().txn = std::move(t);
+  }
   // Recover the member set before electing: the LATEST config found in
   // snapshot or log governs, even if its reconfig txn never committed —
   // quorum decisions must never regress to a member set an already-agreed
@@ -167,29 +167,31 @@ void ZabNode::trace_stage(Zxid z, trace::Stage s, NodeId who) {
   trace_.record(z, s, who, env_->now());
 }
 
-/// The zxid is decided: stamp COMMIT, remember the decision time for the
-/// commit->deliver stage, and (when this node saw the PROPOSE) record the
-/// propose->commit latency.
-void ZabNode::note_committed(Zxid z, TimePoint now) {
-  trace_.record(z, trace::Stage::kCommit, cfg_.id, now);
-  commit_time_.emplace(z.packed(), now);
-  if (auto it = propose_time_.find(z.packed()); it != propose_time_.end()) {
-    h_propose_commit_->record(static_cast<std::uint64_t>(now - it->second));
-  }
-  if (SpanState* st = find_span(z)) st->span.commit_ns = now;
+// --- In-flight records ---------------------------------------------------------
+
+std::size_t ZabNode::first_record_after(Zxid z) const {
+  const auto it = std::partition_point(
+      undelivered_.begin(), undelivered_.end(),
+      [z](const InFlightTxn& r) { return r.txn.zxid <= z; });
+  return static_cast<std::size_t>(it - undelivered_.begin());
+}
+
+ZabNode::InFlightTxn* ZabNode::find_record(Zxid z) {
+  const std::size_t i = first_record_after(z);
+  if (i == 0 || undelivered_[i - 1].txn.zxid != z) return nullptr;
+  return &undelivered_[i - 1];
+}
+
+std::size_t ZabNode::outstanding_proposals() const {
+  if (!is_active_leader()) return 0;
+  return undelivered_.size() - first_record_after(commit_watermark_);
 }
 
 // --- Request spans -----------------------------------------------------------
 
-ZabNode::SpanState* ZabNode::find_span(Zxid z) {
-  auto it = spans_.find(z.packed());
-  return it == spans_.end() ? nullptr : &it->second;
-}
-
 /// Feed a completed span into the per-stage histograms, the slow-op ring and
-/// (for tests/benches) the observer hook. Caller erases the map entry.
-void ZabNode::finalize_op_span(SpanState& st) {
-  const OpSpan& sp = st.span;
+/// (for tests/benches) the observer hook.
+void ZabNode::finalize_op_span(const OpSpan& sp) {
   const OpSpan::Stages d = sp.stages();
   const std::int64_t vals[kNumOpStages] = {d.queue_wait, d.log_fsync,
                                            d.quorum_ack, d.commit,
@@ -209,42 +211,29 @@ void ZabNode::finalize_op_span(SpanState& st) {
 void ZabNode::annotate_op_span(Zxid z, std::uint64_t session_id,
                                std::uint64_t cxid, std::int64_t ingress_ns,
                                std::uint8_t op_kind, const std::string& path,
-                               std::uint32_t payload_bytes, bool expect_reply) {
-  SpanState* st = find_span(z);
-  if (!st) return;  // spans disabled, or the op completed inside broadcast()
-  st->span.session_id = session_id;
-  st->span.cxid = cxid;
-  st->span.op_kind = op_kind;
-  st->span.path = path;
-  st->span.payload_bytes = payload_bytes;
-  st->expect_reply = expect_reply;
+                               std::uint32_t payload_bytes) {
+  InFlightTxn* r = find_record(z);
+  // No span: spans disabled, or the op completed inside broadcast().
+  if (!r || r->span.zxid == 0) return;
+  OpSpan& sp = r->span;
+  sp.session_id = session_id;
+  sp.cxid = cxid;
+  sp.op_kind = op_kind;
+  sp.path = path;
+  sp.payload_bytes = payload_bytes;
   if (ingress_ns >= 0) {
-    st->span.recv_ns = ingress_ns;
+    sp.recv_ns = ingress_ns;
     // Back-dated: the frame hit the origin's wire before we saw it here.
     trace_.record(z, trace::Stage::kClientRecv, cfg_.id, ingress_ns);
   }
 }
 
 void ZabNode::finish_op_span(Zxid z) {
-  auto it = spans_.find(z.packed());
-  if (it == spans_.end()) return;
+  InFlightTxn* r = find_record(z);
+  if (!r || r->span.zxid == 0) return;
   const TimePoint now = env_->now();
-  it->second.span.reply_ns = now;
+  r->span.reply_ns = now;
   trace_.record(z, trace::Stage::kClientReply, cfg_.id, now);
-  finalize_op_span(it->second);
-  spans_.erase(it);
-}
-
-void ZabNode::drop_txn_timings_after(Zxid keep) {
-  std::erase_if(propose_time_, [keep](const auto& kv) {
-    return Zxid::from_packed(kv.first) > keep;
-  });
-  std::erase_if(commit_time_, [keep](const auto& kv) {
-    return Zxid::from_packed(kv.first) > keep;
-  });
-  std::erase_if(spans_, [keep](const auto& kv) {
-    return Zxid::from_packed(kv.first) > keep;
-  });
 }
 
 std::uint64_t ZabNode::lag_zxids(Zxid follower_last, Zxid watermark) {
@@ -272,26 +261,22 @@ void ZabNode::arm_watchdog() {
 void ZabNode::watchdog_tick() {
   const TimePoint now = env_->now();
 
-  // Forget flags for txns that left the pipeline (delivered / truncated).
-  std::erase_if(stall_flagged_, [this](std::uint64_t z) {
-    return propose_time_.find(z) == propose_time_.end();
-  });
-
+  // Live txns still without COMMIT. Records are in zxid order, which is
+  // propose order, so the first stalled one is the oldest.
   std::int64_t stalled = 0;
   Zxid oldest_stalled;
-  TimePoint oldest_t = 0;
   bool new_stall = false;
-  for (const auto& [packed, t0] : propose_time_) {
-    if (commit_time_.find(packed) != commit_time_.end()) continue;
-    if (now - t0 < cfg_.stall_commit_timeout) continue;
-    ++stalled;
-    if (stall_flagged_.insert(packed).second) {
+  for (InFlightTxn& r : undelivered_) {
+    const OpSpan& sp = r.span;
+    if (sp.propose_ns < 0 || sp.commit_ns >= 0 ||
+        now - sp.propose_ns < cfg_.stall_commit_timeout) {
+      continue;
+    }
+    if (++stalled == 1) oldest_stalled = r.txn.zxid;
+    if (!r.stall_flagged) {
+      r.stall_flagged = true;
       c_stall_commit_->add();
       new_stall = true;
-    }
-    if (stalled == 1 || t0 < oldest_t) {
-      oldest_stalled = Zxid::from_packed(packed);
-      oldest_t = t0;
     }
   }
   g_commit_stalled_->set(stalled);
@@ -351,7 +336,7 @@ std::string ZabNode::mntr_report() const {
   kv("zab_last_logged", to_string(last_logged_));
   kv("zab_last_committed", to_string(commit_watermark_));
   kv("zab_last_delivered", to_string(last_delivered_));
-  kv("zab_outstanding_proposals", std::to_string(proposals_.size()));
+  kv("zab_outstanding_proposals", std::to_string(outstanding_proposals()));
   kv("zab_pending_appends", std::to_string(pending_appends_));
   out += metrics_->to_text();
   out += op_p99_decomposition(metrics_->snapshot());
@@ -374,7 +359,7 @@ std::string ZabNode::mntr_json() const {
   out += json::key("last_delivered") +
          json::str(to_string(last_delivered_)) + ',';
   out += json::key("outstanding_proposals") +
-         json::num(std::uint64_t{proposals_.size()}) + ',';
+         json::num(std::uint64_t{outstanding_proposals()}) + ',';
   out += json::key("pending_appends") +
          json::num(std::uint64_t{pending_appends_});
   out += "},";
@@ -422,7 +407,7 @@ std::string ZabNode::postmortem_bundle() const {
   out += json::key("pipeline");
   out += '{';
   out += json::key("outstanding_proposals") +
-         json::num(std::uint64_t{proposals_.size()}) + ',';
+         json::num(std::uint64_t{outstanding_proposals()}) + ',';
   out += json::key("pending_appends") +
          json::num(std::uint64_t{pending_appends_}) + ',';
   out += json::key("undelivered") +
@@ -564,7 +549,6 @@ void ZabNode::go_to_election() {
   followers_.clear();
   newleader_acks_.clear();
   synced_observers_.clear();
-  proposals_.clear();
   // A reconfig that never committed dies with the leadership; the ACTIVE
   // config stays — whether the change survives is the next epoch's call
   // (the txn is in storage, so sync replay can still resurrect it).
@@ -583,14 +567,14 @@ void ZabNode::go_to_election() {
   self_history_durable_ = false;
   establishing_epoch_ = kNoEpoch;
   new_leader_pending_ = false;
-  // In-flight stage timings refer to proposals whose fate the next epoch
-  // decides; drop them rather than let abandoned zxids accumulate.
-  propose_time_.clear();
-  commit_time_.clear();
-  spans_.clear();
+  // In-flight stamps and spans refer to proposals whose fate the next epoch
+  // decides: the records stay (their txns are logged) but lose them.
+  for (InFlightTxn& r : undelivered_) {
+    r.span = OpSpan{};
+    r.stall_flagged = false;
+  }
   // Stall/health state is leadership-scoped: a deposed leader stops
   // advertising quorum health it can no longer observe.
-  stall_flagged_.clear();
   lag_stalled_.clear();
   g_commit_stalled_->set(0);
   g_synced_followers_->set(0);
@@ -601,41 +585,58 @@ void ZabNode::go_to_election() {
 // --- Delivery ----------------------------------------------------------------------
 
 void ZabNode::advance_watermark(Zxid z) {
-  if (z > commit_watermark_) commit_watermark_ = z;
+  raise_watermark(z);
   try_deliver();
+}
+
+void ZabNode::raise_watermark(Zxid z) {
+  if (z <= commit_watermark_) return;
+  // One COMMIT (or PING) watermark covers a whole batch: every live record
+  // under it is decided now.
+  const TimePoint now = env_->now();
+  for (std::size_t i = first_record_after(commit_watermark_);
+       i < undelivered_.size() && undelivered_[i].txn.zxid <= z; ++i) {
+    InFlightTxn& r = undelivered_[i];
+    if (r.span.propose_ns < 0) continue;
+    r.span.commit_ns = now;
+    trace_.record(r.txn.zxid, trace::Stage::kCommit, cfg_.id, now);
+    h_propose_commit_->record(
+        static_cast<std::uint64_t>(now - r.span.propose_ns));
+  }
+  commit_watermark_ = z;
 }
 
 void ZabNode::try_deliver() {
   // Delivery is gated on activation (phase 3): during synchronization a
   // follower learns commit watermarks but must not deliver until UPTODATE
   // fixes the initial history of the new epoch.
-  if (phase_ != Phase::kBroadcast) return;
+  if (phase_ != Phase::kBroadcast || delivering_) return;
+  delivering_ = true;
   bool delivered = false;
   while (!undelivered_.empty() &&
-         undelivered_.front().zxid <= commit_watermark_) {
-    Txn& t = undelivered_.front();
+         undelivered_.front().txn.zxid <= commit_watermark_) {
+    // Handlers may append records (re-entering broadcast()); a deque keeps
+    // references to its other elements valid across push_back.
+    InFlightTxn& r = undelivered_.front();
+    const Txn& t = r.txn;
+    OpSpan& sp = r.span;
     assert(t.zxid > last_delivered_);
     last_delivered_ = t.zxid;
     ++delivered_since_snapshot_;
     const TimePoint now = env_->now();
     trace_.record(t.zxid, trace::Stage::kDeliver, cfg_.id, now);
     c_delivered_->add();
-    const std::uint64_t key = t.zxid.packed();
-    if (auto it = commit_time_.find(key); it != commit_time_.end()) {
-      h_commit_deliver_->record(static_cast<std::uint64_t>(now - it->second));
-      commit_time_.erase(it);
+    if (sp.commit_ns >= 0) {
+      h_commit_deliver_->record(static_cast<std::uint64_t>(now - sp.commit_ns));
     }
-    if (auto it = propose_time_.find(key); it != propose_time_.end()) {
-      h_propose_deliver_->record(static_cast<std::uint64_t>(now - it->second));
-      propose_time_.erase(it);
+    if (sp.propose_ns >= 0) {
+      h_propose_deliver_->record(
+          static_cast<std::uint64_t>(now - sp.propose_ns));
     }
-    // Stamp the deliver time BEFORE the handlers run: for leader-connected
-    // clients the reply is written inside the handler chain (ReplicatedTree
-    // completes the waiter, which calls finish_op_span), and that path must
-    // see a filled deliver stage.
-    if (auto it = spans_.find(key); it != spans_.end()) {
-      it->second.span.deliver_ns = now;
-    }
+    // Stamp the deliver time BEFORE the handlers run: the origin writes the
+    // client reply inside the handler chain (ReplicatedTree completes the
+    // waiter, then calls finish_op_span), so the reply follows it.
+    sp.deliver_ns = now;
     // Membership changes activate at delivery, before the application
     // handlers run, so every observer of this txn already sees the new
     // member set.
@@ -643,17 +644,12 @@ void ZabNode::try_deliver() {
       apply_cluster_config(rc->config, t.zxid, /*committed=*/true);
     }
     for (auto& h : deliver_handlers_) h(t);
-    // No reply will be written from this node (follower-forwarded op, or no
-    // client waiter): the span ends at delivery.
-    if (auto it = spans_.find(key); it != spans_.end()) {
-      if (!it->second.expect_reply) {
-        finalize_op_span(it->second);
-        spans_.erase(it);
-      }
-    }
+    // The span ends here, with the reply stamped if this node wrote one.
+    if (sp.zxid != 0) finalize_op_span(sp);
     undelivered_.pop_front();
     delivered = true;
   }
+  delivering_ = false;
   if (delivered) maybe_snapshot();
 }
 
@@ -721,7 +717,7 @@ void ZabNode::apply_cluster_config(const ClusterConfig& c, Zxid z,
         go_to_election();
         return;
       }
-      if (is_active_leader()) leader_try_commit();
+      if (is_active_leader()) leader_try_commit(kNoNode);
     });
   }
 }
@@ -783,8 +779,9 @@ Result<Zxid> ZabNode::propose_reconfig(ClusterConfig target, NodeId origin,
 
 void ZabNode::note_append_durable(Zxid z) {
   if (z > last_durable_) last_durable_ = z;
-  trace_stage(z, trace::Stage::kLogFsync, cfg_.id);
-  if (SpanState* st = find_span(z)) st->span.fsync_ns = env_->now();
+  const TimePoint now = env_->now();
+  trace_.record(z, trace::Stage::kLogFsync, cfg_.id, now);
+  if (InFlightTxn* r = find_record(z)) r->span.fsync_ns = now;
 
   if (role_ == Role::kLeading) {
     // The leader's own history counts toward the NEWLEADER quorum...
@@ -794,17 +791,10 @@ void ZabNode::note_append_durable(Zxid z) {
       newleader_acks_.insert(cfg_.id);
       leader_try_activate();
     }
-    // ...and its log write is its ACK for its own proposals.
-    if (activated_ && !proposals_.empty() &&
-        z.epoch == establishing_epoch_) {
-      const std::uint32_t front = proposals_.front().txn.zxid.counter;
-      if (z.counter >= front) {
-        const std::size_t idx = z.counter - front;
-        if (idx < proposals_.size()) {
-          note_proposal_ack(proposals_[idx], cfg_.id);
-          leader_try_commit();
-        }
-      }
+    // ...and its log write (last_durable_) is its ACK for its own
+    // proposals.
+    if (activated_ && z.epoch == establishing_epoch_) {
+      leader_try_commit(cfg_.id);
     }
     return;
   }
@@ -819,7 +809,7 @@ void ZabNode::note_append_durable(Zxid z) {
 
 Result<Zxid> ZabNode::broadcast(Bytes op) {
   if (!is_active_leader()) return Status::not_leader();
-  if (proposals_.size() >= cfg_.max_outstanding) {
+  if (outstanding_proposals() >= cfg_.max_outstanding) {
     return Status::not_ready("too many outstanding proposals");
   }
   const Zxid z{establishing_epoch_, ++next_counter_};
@@ -827,23 +817,19 @@ Result<Zxid> ZabNode::broadcast(Bytes op) {
 
   const TimePoint now = env_->now();
   trace_.record(z, trace::Stage::kPropose, cfg_.id, now);
-  propose_time_.emplace(z.packed(), now);
   c_proposals_->add();
-  if (spans_enabled_) {
-    SpanState& st = spans_[z.packed()];
-    st.span.zxid = z.packed();
-    st.span.propose_ns = now;
-  }
 
-  // Register the proposal, and park the txn for the wire, BEFORE the
-  // append: with synchronous storage the durability callback (our own ACK)
-  // fires inside append(), and when that ACK is a quorum (one voter)
-  // leader_try_commit() must find the txn parked, to send its PROPOSE ahead
-  // of its COMMIT.
+  // Register the record, and park the txn for the wire, BEFORE the append:
+  // with synchronous storage the durability callback (our own ACK) fires
+  // inside append(), and when that ACK is a quorum (one voter)
+  // leader_try_commit() must find the record, and the txn parked, to send
+  // its PROPOSE ahead of its COMMIT.
   last_logged_ = z;
-  undelivered_.push_back(txn);
-  proposals_.push_back(Proposal{txn, {}});
-  g_outstanding_->set(static_cast<std::int64_t>(proposals_.size()));
+  InFlightTxn& r = undelivered_.emplace_back();
+  r.txn = txn;
+  r.span.propose_ns = now;
+  if (spans_enabled_) r.span.zxid = z.packed();
+  g_outstanding_->set(static_cast<std::int64_t>(outstanding_proposals()));
   batch_bytes_ += txn_wire_size(txn);
   batch_.push_back(txn);
   if (batch_flush_timer_ == kNoTimer) {
@@ -980,10 +966,9 @@ void ZabNode::on_trunc(NodeId from, const TruncMsg& m) {
   last_logged_ = storage_->last_zxid();
   last_durable_ = std::min(last_durable_, last_logged_);
   while (!undelivered_.empty() &&
-         undelivered_.back().zxid > m.truncate_to) {
+         undelivered_.back().txn.zxid > m.truncate_to) {
     undelivered_.pop_back();
   }
-  drop_txn_timings_after(m.truncate_to);
   if (active_config_.config_zxid > m.truncate_to) {
     // The reconfig txn our config came from belonged to the abandoned
     // branch; fall back to the latest config the surviving history carries.
@@ -1014,9 +999,6 @@ void ZabNode::on_snap(NodeId from, SnapMsg m) {
     inst(snap.last_included, app_state);
   }
   undelivered_.clear();
-  propose_time_.clear();
-  commit_time_.clear();
-  spans_.clear();
   last_logged_ = snap.last_included;
   last_durable_ = snap.last_included;
   last_delivered_ = snap.last_included;
@@ -1156,15 +1138,16 @@ void ZabNode::on_propose_batch(NodeId from, ProposeBatchMsg m) {
 
 void ZabNode::append_follower_entry(Txn txn, AckMode mode, Epoch epoch) {
   const Zxid z = txn.zxid;
+  InFlightTxn& r = undelivered_.emplace_back();
+  r.txn = txn;
   if (mode != AckMode::kSyncReplay) {
     // Live proposal: start this txn's stage clock on the follower too.
     const TimePoint now = env_->now();
     trace_.record(z, trace::Stage::kPropose, cfg_.id, now);
-    propose_time_.emplace(z.packed(), now);
+    r.span.propose_ns = now;
     c_proposals_->add();
   }
   last_logged_ = z;
-  undelivered_.push_back(txn);
   ++pending_appends_;
   storage_->append(txn, [this, z, mode, epoch] {
     --pending_appends_;
@@ -1191,7 +1174,6 @@ void ZabNode::on_commit(NodeId from, const CommitMsg& m) {
     follower_resync();
     return;
   }
-  if (m.zxid > commit_watermark_) note_committed(m.zxid, env_->now());
   advance_watermark(m.zxid);
 }
 

@@ -18,6 +18,15 @@
 //                             strictly in zxid order; the txns broadcast in
 //                             one loop turn share one PROPOSEBATCH frame.
 //
+// Every logged but undelivered txn has exactly one record, an entry of
+// `undelivered_` (zxid order, every role). The record carries the txn, its
+// stage stamps and, on the leader that proposed it, the client context of
+// its OpSpan; truncation, snapshot install and delivery drop a txn's whole
+// state by dropping its record. On an active leader the records past the
+// commit watermark are the outstanding proposals. ACKs are cumulative, so
+// the leader counts a proposal's acks from one durable-ack zxid per
+// follower (docs/PROTOCOL.md §6).
+//
 // Correctness notes mirrored from the paper are inline where they matter.
 #pragma once
 
@@ -27,7 +36,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "common/clock_sync.h"
 #include "common/env.h"
@@ -163,9 +171,8 @@ class ZabNode {
   [[nodiscard]] bool is_active_leader() const {
     return role_ == Role::kLeading && phase_ == Phase::kBroadcast;
   }
-  [[nodiscard]] std::size_t outstanding_proposals() const {
-    return proposals_.size();
-  }
+  /// Proposals not yet committed (0 unless this node is the active leader).
+  [[nodiscard]] std::size_t outstanding_proposals() const;
   [[nodiscard]] const ZabConfig& config() const { return cfg_; }
   [[nodiscard]] Env& env() { return *env_; }
 
@@ -208,20 +215,20 @@ class ZabNode {
 
   /// Attach client context to the span broadcast() opened for `z`: identity,
   /// op kind, payload size, and the wire-ingress stamp (back-dated into the
-  /// trace ring as kClientRecv). `expect_reply` keeps the span alive past
-  /// delivery until finish_op_span() stamps the reply hand-off; without it
-  /// the span finalizes at delivery. No-op when the span is gone (spans
-  /// disabled, or a single-node ensemble delivered inside broadcast()).
+  /// trace ring as kClientRecv). No-op when the txn has no span (spans
+  /// disabled, or a single-node ensemble delivered it inside broadcast()).
   void annotate_op_span(Zxid z, std::uint64_t session_id, std::uint64_t cxid,
                         std::int64_t ingress_ns, std::uint8_t op_kind,
-                        const std::string& path, std::uint32_t payload_bytes,
-                        bool expect_reply);
-  /// Stamp the reply hand-off (kClientReply) and finalize the span. Called
-  /// by the origin replica when the client response leaves the loop.
+                        const std::string& path, std::uint32_t payload_bytes);
+  /// Stamp the reply hand-off (kClientReply) on the span of `z`. Called by
+  /// the origin replica from its deliver handler, once the client response
+  /// has left the loop; the span finalizes when the handlers return.
   void finish_op_span(Zxid z);
 
-  /// Runtime toggle for span bookkeeping (initial state: ZAB_OP_SPANS).
-  /// Affects ops proposed after the call; in-flight spans still finalize.
+  /// Runtime toggle for span bookkeeping (on at construction). Decides, for
+  /// ops proposed after the call, whether the client context is kept and
+  /// the span finalized; in-flight spans still finalize. The stage stamps
+  /// behind zab.stage.* are kept either way.
   void set_spans_enabled(bool on) { spans_enabled_ = on; }
   [[nodiscard]] bool spans_enabled() const { return spans_enabled_; }
 
@@ -241,7 +248,14 @@ class ZabNode {
   void become(Role r, Phase p);
   void go_to_election();
   void cancel_phase_timers();
+  /// raise_watermark(z), then deliver what it covers.
   void advance_watermark(Zxid z);
+  /// Raise the commit watermark to `z`, stamping COMMIT on every live
+  /// record it newly covers, whatever message carried it.
+  void raise_watermark(Zxid z);
+  /// Deliver the committed head of undelivered_. A call made while a
+  /// delivery loop runs (a deliver handler re-entered broadcast() and the
+  /// new txn committed at once) returns: the running loop delivers it.
   void try_deliver();
   void maybe_snapshot();
   void note_append_durable(Zxid z);
@@ -311,6 +325,11 @@ class ZabNode {
     Epoch current_epoch = kNoEpoch;
     Zxid last_zxid;
     TimePoint last_contact = 0;
+    /// Durable-ack watermark: the highest zxid this follower's ACKs and
+    /// PONGs reported logged. Only those raise it, never the log tail that
+    /// CEPOCH/ACKEPOCH report in last_zxid (it may hold unforced appends).
+    /// It survives a re-join (see on_cepoch).
+    Zxid acked;
     /// When the sync stream to this follower started (-1: never). Late
     /// joins against an activated leader report zab.reconfig.join_sync_ns
     /// from it.
@@ -318,18 +337,12 @@ class ZabNode {
     /// Clock-offset estimate from PING/PONG exchanges (remote minus local).
     clock_sync::OffsetEstimator clock;
   };
-  struct Proposal {
-    Txn txn;
-    std::set<NodeId> acks;  // includes self once locally durable
-    /// The quorum trace/histogram fires once, at the ack that first
-    /// satisfies the (possibly joint) quorum — a flag, because under a
-    /// pending reconfig "exactly at quorum()" is no longer a single count.
-    bool quorum_traced = false;
-  };
-  /// True when `p` has ack quorums in every voter set it is answerable to:
+  /// True when `z` has ack quorums in every voter set it is answerable to:
   /// the active config, plus the pending one for proposals at or after the
-  /// in-flight reconfig's zxid (joint quorum during the handoff window).
-  [[nodiscard]] bool proposal_quorum_met(const Proposal& p) const;
+  /// in-flight reconfig's zxid (joint quorum during the handoff window). A
+  /// voter acked `z` when its durable-ack watermark covers it; the leader's
+  /// own watermark is last_durable_.
+  [[nodiscard]] bool proposal_quorum_met(Zxid z) const;
 
   void leader_begin_discovery();
   void on_cepoch(NodeId from, const CEpochMsg& m);
@@ -340,8 +353,8 @@ class ZabNode {
   void leader_try_activate();
   void leader_activate_follower(NodeId f);
   void on_ack(NodeId from, const AckMsg& m);
-  void note_proposal_ack(Proposal& p, NodeId from);
-  void leader_record_acks(NodeId from, Zxid upto);
+  /// A follower reported everything up to `upto` durably logged.
+  void leader_record_acks(NodeId from, FollowerState& fs, Zxid upto);
   void on_pong(NodeId from, const PongMsg& m);
   void on_request(NodeId from, RequestMsg m);
   /// Send the parked batch as one PROPOSEBATCH frame, encoded once, to the
@@ -350,7 +363,10 @@ class ZabNode {
   /// Encode `m` once and send it to every active follower and, when
   /// `syncing`, to every follower whose sync stream has gone out too.
   void send_to_followers(const Message& m, bool syncing);
-  void leader_try_commit();
+  /// Commit every quorum-acked head in zxid order. `acker` is the voter
+  /// whose ack prompted the call; it is named in the kAck event of each
+  /// proposal whose quorum it completed (kNoNode: no ack, nothing traced).
+  void leader_try_commit(NodeId acker);
   void leader_heartbeat();
   void leader_check_quorum_liveness();
   [[nodiscard]] bool leader_epoch_valid(Epoch e) const;
@@ -370,8 +386,6 @@ class ZabNode {
 
   // --- Observability (see docs/PROTOCOL.md "Observability") ---
   void trace_stage(Zxid z, trace::Stage s, NodeId who);
-  void note_committed(Zxid z, TimePoint now);
-  void drop_txn_timings_after(Zxid keep);
   /// Leader, heartbeat cadence: refresh zab.follower.<id>.* lag gauges and
   /// the zab.quorum.* health gauges.
   void update_health_gauges(TimePoint now);
@@ -405,28 +419,13 @@ class ZabNode {
   Histogram* h_recovery_sync_ = nullptr;
   Gauge* g_election_last_ns_ = nullptr;
   Gauge* g_recovery_last_ns_ = nullptr;
-  /// First-seen stage timestamps for in-flight txns (packed zxid -> ns);
-  /// entries die at delivery, truncation, snapshot install, or re-election.
-  std::unordered_map<std::uint64_t, TimePoint> propose_time_;
-  std::unordered_map<std::uint64_t, TimePoint> commit_time_;
   TimePoint election_started_ = -1;  // -1: no election in flight (t=0 is valid)
   TimePoint elected_time_ = -1;      // kElected stamp; closes at activation
 
   // --- Request latency attribution (see docs/PROTOCOL.md §13) ---
-  struct SpanState {
-    OpSpan span;
-    /// True when the origin replica is this node: the span stays open past
-    /// delivery so finish_op_span() can stamp the reply hand-off.
-    bool expect_reply = false;
-  };
-  [[nodiscard]] SpanState* find_span(Zxid z);
   /// Record stage histograms, admit to the slow log, notify the observer.
-  void finalize_op_span(SpanState& st);
-  /// Spans for in-flight broadcasts (leader-side; packed zxid keyed). Same
-  /// lifecycle as propose_time_, except reply-expecting spans survive
-  /// delivery until the client response goes out.
-  std::unordered_map<std::uint64_t, SpanState> spans_;
-  bool spans_enabled_ = true;  // ZAB_OP_SPANS=0 disables span bookkeeping
+  void finalize_op_span(const OpSpan& sp);
+  bool spans_enabled_ = true;
   SlowLog slow_log_;
   SpanObserverFn span_observer_;
   Histogram* h_op_stage_[kNumOpStages] = {};
@@ -441,7 +440,6 @@ class ZabNode {
   Gauge* g_synced_followers_ = nullptr;
   Gauge* g_quorum_healthy_ = nullptr;
   TimerId watchdog_timer_ = kNoTimer;  // lives across elections; see shutdown()
-  std::set<std::uint64_t> stall_flagged_;    // zxids already counted as stalled
   std::set<NodeId> lag_stalled_;             // followers currently lag-stalled
   TimePoint last_stall_log_ = -1;            // rate limit: 1 warn/s
 
@@ -471,7 +469,23 @@ class ZabNode {
   Zxid last_durable_;         // highest zxid whose append has synced
   Zxid commit_watermark_;     // highest zxid known committed
   Zxid last_delivered_;
-  std::deque<Txn> undelivered_;  // logged but not yet delivered, zxid order
+  /// The one record of a logged, not yet delivered txn.
+  struct InFlightTxn {
+    Txn txn;
+    /// Stage stamps, recv_ns to reply_ns. propose_ns is set only for a live
+    /// txn (one this node proposed, or received as a live proposal); sync
+    /// replays and recovered entries have none and record no stage. The
+    /// client context and span.zxid (its "finalize me" mark) are set only
+    /// by the leader that proposed the txn, with spans enabled.
+    OpSpan span;
+    bool stall_flagged = false;  // counted once by the commit-stall watchdog
+  };
+  std::deque<InFlightTxn> undelivered_;  // zxid order
+  /// Index of the first record above `z`.
+  [[nodiscard]] std::size_t first_record_after(Zxid z) const;
+  /// The record of `z`, or null when it has none (delivered, truncated).
+  [[nodiscard]] InFlightTxn* find_record(Zxid z);
+  bool delivering_ = false;  // a try_deliver() loop is running
   std::size_t pending_appends_ = 0;
   std::uint64_t delivered_since_snapshot_ = 0;
   bool started_ = false;
@@ -490,8 +504,8 @@ class ZabNode {
   AtomicCounter* c_ack_coalesced_ = nullptr;
   AtomicCounter* c_commit_coalesced_ = nullptr;
   /// Leader: txns accepted by broadcast() in this loop turn, not yet on the
-  /// wire (they ARE in proposals_ and handed to storage; only the fan-out
-  /// waits for the zero-delay flush timer or the byte limit).
+  /// wire (they have their records and are handed to storage; only the
+  /// fan-out waits for the zero-delay flush timer or the byte limit).
   std::vector<Txn> batch_;
   std::size_t batch_bytes_ = 0;
   TimerId batch_flush_timer_ = kNoTimer;
@@ -515,7 +529,6 @@ class ZabNode {
   std::map<NodeId, FollowerState> followers_;
   std::set<NodeId> newleader_acks_;   // voting members (incl. self)
   std::set<NodeId> synced_observers_; // observers awaiting activation
-  std::deque<Proposal> proposals_;  // outstanding, zxid-contiguous
   std::uint32_t next_counter_ = 0;
   TimerId heartbeat_timer_ = kNoTimer;
   TimePoint quorum_ok_since_ = 0;

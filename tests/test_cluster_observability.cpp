@@ -205,7 +205,7 @@ ZabConfig three_node_cfg(NodeId id) {
 }
 
 VoteMsg vote_for(NodeId candidate) {
-  return VoteMsg{candidate, Zxid::zero(), 0, 1, Role::kLooking};
+  return VoteMsg{candidate, Zxid::zero(), 0, 1, Role::kLooking, Zxid{}};
 }
 
 struct LeaderFixture {

@@ -7,16 +7,23 @@
 namespace zab::harness {
 namespace {
 
+ClusterConfig cluster(std::size_t n, std::uint64_t seed) {
+  ClusterConfig cfg;
+  cfg.n = n;
+  cfg.seed = seed;
+  return cfg;
+}
+
 TEST(Election, HighestIdWinsAmongEqualHistories) {
   // Fresh ensemble: all logs empty, all epochs 0 -> vote order falls back
   // to the node id, so the highest id must win the first election.
-  SimCluster c({.n = 5, .seed = 3});
+  SimCluster c(cluster(5, 3));
   const NodeId l = c.wait_for_leader();
   EXPECT_EQ(l, 5u);
 }
 
 TEST(Election, MostUpToDateNodeWins) {
-  SimCluster c({.n = 3, .seed = 5});
+  SimCluster c(cluster(3, 5));
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
 
@@ -46,7 +53,7 @@ TEST(Election, MostUpToDateNodeWins) {
 }
 
 TEST(Election, StableLeadershipWithoutFaults) {
-  SimCluster c({.n = 5, .seed = 9});
+  SimCluster c(cluster(5, 9));
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
   auto elections = [&] {
@@ -64,7 +71,7 @@ TEST(Election, StableLeadershipWithoutFaults) {
 }
 
 TEST(Election, LateJoinerAdoptsEstablishedLeaderWithoutNewEpoch) {
-  SimCluster c({.n = 5, .seed = 13});
+  SimCluster c(cluster(5, 13));
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
   const NodeId joiner = (l == 1) ? 2 : 1;
@@ -82,7 +89,7 @@ TEST(Election, LateJoinerAdoptsEstablishedLeaderWithoutNewEpoch) {
 }
 
 TEST(Election, TwoSimultaneousCrashesInFiveNodeEnsemble) {
-  SimCluster c({.n = 5, .seed = 17});
+  SimCluster c(cluster(5, 17));
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
   ASSERT_TRUE(c.replicate_ops(40).is_ok());
@@ -101,7 +108,7 @@ TEST(Election, TwoSimultaneousCrashesInFiveNodeEnsemble) {
 }
 
 TEST(Election, NoQuorumMeansNoLeader) {
-  SimCluster c({.n = 3, .seed = 21});
+  SimCluster c(cluster(3, 21));
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
   // Take down a majority.
@@ -116,7 +123,7 @@ TEST(Election, NoQuorumMeansNoLeader) {
 }
 
 TEST(Election, EpochStrictlyIncreasesAcrossLeaderChanges) {
-  SimCluster c({.n = 3, .seed = 25});
+  SimCluster c(cluster(3, 25));
   Epoch prev = 0;
   for (int round = 0; round < 3; ++round) {
     const NodeId l = c.wait_for_leader();
@@ -138,7 +145,7 @@ class CrashPointSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CrashPointSweep, LeaderCrashMidPipeline) {
   const int k = GetParam();
-  SimCluster c({.n = 3, .seed = 100 + static_cast<std::uint64_t>(k)});
+  SimCluster c(cluster(3, 100 + static_cast<std::uint64_t>(k)));
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
 
@@ -172,7 +179,7 @@ class EstablishmentCrashSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(EstablishmentCrashSweep, CrashDuringEstablishment) {
   const int step_ms = GetParam();
-  SimCluster c({.n = 3, .seed = 200 + static_cast<std::uint64_t>(step_ms)});
+  SimCluster c(cluster(3, 200 + static_cast<std::uint64_t>(step_ms)));
   c.run_for(millis(step_ms));  // somewhere inside election/discovery/sync
 
   // Whoever is furthest along (leading or prospective), kill it.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -191,7 +192,19 @@ TEST(LatencyAttribution, SimSpansHaveMonotoneStageStamps) {
 
   constexpr std::size_t kOps = 40;
   ASSERT_TRUE(c.replicate_ops(kOps).is_ok());
-  ASSERT_GE(spans.size(), kOps);
+
+  // Exactly one span per zxid the leader proposed, each finalized once.
+  const std::uint64_t proposed =
+      c.node(l).metrics().counter("zab.leader.proposals").value();
+  ASSERT_EQ(proposed, kOps);
+  ASSERT_EQ(spans.size(), proposed);
+  std::set<std::uint64_t> zxids;
+  for (const OpSpan& s : spans) zxids.insert(s.zxid);
+  const Epoch epoch = c.node(l).last_delivered().epoch;
+  EXPECT_EQ(zxids.size(), proposed);
+  EXPECT_EQ(*zxids.begin(), (Zxid{epoch, 1}).packed());
+  EXPECT_EQ(*zxids.rbegin(),
+            (Zxid{epoch, static_cast<std::uint32_t>(proposed)}).packed());
 
   for (const OpSpan& s : spans) {
     ASSERT_GE(s.propose_ns, 0);

@@ -157,7 +157,7 @@ TEST(Messages, EmptyPayloadsAllowed) {
 
 TEST(Messages, TruncatedInputRejectedAtEveryLength) {
   const Message samples[] = {
-      Message{VoteMsg{1, Zxid{1, 1}, 1, 1, Role::kLooking}},
+      Message{VoteMsg{1, Zxid{1, 1}, 1, 1, Role::kLooking, Zxid{}}},
       Message{ProposeMsg{2, Zxid{2, 2}, Txn{Zxid{2, 3}, to_bytes("xy")}}},
       Message{SnapMsg{1, Zxid{1, 1}, to_bytes("abcdef")}},
   };
@@ -182,7 +182,7 @@ TEST(Messages, BadTagAndBadRoleRejected) {
   EXPECT_FALSE(decode_message(wire).has_value());
 
   Bytes vote = encode_message(
-      Message{VoteMsg{1, Zxid{1, 1}, 1, 1, Role::kLooking}});
+      Message{VoteMsg{1, Zxid{1, 1}, 1, 1, Role::kLooking, Zxid{}}});
   // The role byte sits just before the trailing 8-byte config_zxid.
   vote[vote.size() - 9] = 0x17;  // invalid role enum
   EXPECT_FALSE(decode_message(vote).has_value());

@@ -85,6 +85,22 @@ TEST(MetricsTrace, FollowerRecordsCommitAndDeliver) {
   const NodeId l = c.wait_for_leader();
   ASSERT_NE(l, kNoNode);
   ASSERT_TRUE(c.replicate_ops(30).is_ok());
+  // Then bursts of 8 writes per leader turn: each burst travels as one
+  // PROPOSEBATCH and commits under one COMMIT naming its last zxid, so most
+  // txns are committed by a watermark that no message names.
+  constexpr int kBursts = 10;
+  constexpr int kBurst = 8;
+  Zxid last;
+  for (int b = 0; b < kBursts; ++b) {
+    for (int i = 0; i < kBurst; ++i) {
+      const auto r = c.submit(
+          to_bytes("burst-" + std::to_string(b) + "-" + std::to_string(i)));
+      ASSERT_TRUE(r.is_ok());
+      last = r.value();
+    }
+    c.run_for(0);  // the leader's turn ends: the burst is on the wire
+  }
+  ASSERT_TRUE(c.wait_delivered(last));
   c.run_for(seconds(2));  // let heartbeats push the final watermark
 
   const NodeId f = (l == 1) ? 2 : 1;
@@ -97,6 +113,33 @@ TEST(MetricsTrace, FollowerRecordsCommitAndDeliver) {
   ASSERT_GE(st.at(trace::Stage::kPropose), 0);
   ASSERT_GE(st.at(trace::Stage::kDeliver), 0);
   EXPECT_LE(st.at(trace::Stage::kPropose), st.at(trace::Stage::kDeliver));
+
+  // Every follower records COMMIT once per live txn it delivered (one it
+  // received as a live proposal), whichever message carried the watermark.
+  for (NodeId n = 1; n <= 3; ++n) {
+    if (n == l) continue;
+    std::uint64_t live = 0;
+    std::uint64_t commits = 0;
+    for (std::uint32_t i = 1; i <= last.counter; ++i) {
+      const auto t = c.node(n).trace().stage_times(Zxid{last.epoch, i});
+      const std::int64_t propose = t.at(trace::Stage::kPropose);
+      const std::int64_t commit = t.at(trace::Stage::kCommit);
+      const std::int64_t deliver = t.at(trace::Stage::kDeliver);
+      if (propose < 0 || deliver < 0) continue;
+      ++live;
+      if (commit < 0) continue;
+      ++commits;
+      EXPECT_LE(propose, commit) << "node " << n << " counter " << i;
+      EXPECT_LE(commit, deliver) << "node " << n << " counter " << i;
+    }
+    MetricsRegistry& r = c.node(n).metrics();
+    EXPECT_GE(live, std::uint64_t{kBursts * kBurst}) << "node " << n;
+    EXPECT_EQ(commits, live) << "node " << n;
+    EXPECT_EQ(r.histogram("zab.stage.propose_to_commit").count(), live)
+        << "node " << n;
+    EXPECT_EQ(r.histogram("zab.stage.commit_to_deliver").count(), live)
+        << "node " << n;
+  }
 }
 
 TEST(MetricsTrace, ElectionEventsTraced) {

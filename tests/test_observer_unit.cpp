@@ -22,7 +22,7 @@ ZabConfig obs_cfg(NodeId id) {
 
 VoteMsg vote_for(NodeId candidate, ElectionEpoch round = 1,
                  Role role = Role::kLooking) {
-  return VoteMsg{candidate, Zxid::zero(), 0, round, role};
+  return VoteMsg{candidate, Zxid::zero(), 0, round, role, Zxid{}};
 }
 
 TEST(ObserverUnit, ObserverNeverProposesItself) {

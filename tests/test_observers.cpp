@@ -41,7 +41,9 @@ TEST(Observers, NeverBecomeLeader) {
     c.crash(l);
     c.run_for(seconds(1));
     const NodeId l2 = c.wait_for_leader(seconds(10));
-    if (l2 != kNoNode) EXPECT_LE(l2, 3u);
+    if (l2 != kNoNode) {
+      EXPECT_LE(l2, 3u);
+    }
     c.restart(l);
     c.run_for(millis(100));
   }

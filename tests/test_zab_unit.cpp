@@ -22,7 +22,7 @@ ZabConfig three_node_cfg(NodeId id) {
 
 VoteMsg vote_for(NodeId candidate, Zxid z = Zxid::zero(), Epoch e = 0,
                  ElectionEpoch round = 1, Role role = Role::kLooking) {
-  return VoteMsg{candidate, z, e, round, role};
+  return VoteMsg{candidate, z, e, round, role, Zxid{}};
 }
 
 struct Fixture {
@@ -122,9 +122,9 @@ TEST(ZabUnit, AnswersLowerRoundVoterDirectly) {
   (void)f.env.drain();
   // A peer still in round 0... rounds start at 1; simulate an older round
   // by first moving us to round 2 via a higher-round vote.
-  inject(f.node, 2, VoteMsg{3, Zxid::zero(), 0, 5, Role::kLooking});
+  inject(f.node, 2, VoteMsg{3, Zxid::zero(), 0, 5, Role::kLooking, Zxid{}});
   (void)f.env.drain();
-  inject(f.node, 1, VoteMsg{1, Zxid::zero(), 0, 2, Role::kLooking});
+  inject(f.node, 1, VoteMsg{1, Zxid::zero(), 0, 2, Role::kLooking, Zxid{}});
   auto votes = f.env.drain_of<VoteMsg>();
   ASSERT_EQ(votes.size(), 1u);  // direct reply pulling the laggard forward
   EXPECT_EQ(votes[0].first, 1u);
@@ -455,6 +455,54 @@ TEST(ZabUnit, PingAnsweredWithDurableWatermarkPong) {
   ASSERT_EQ(f.delivered.size(), 1u);
 }
 
+// ACKs and PONGs raise a follower's durable-ack watermark; the log tail a
+// (re)joining follower reports in CEPOCH may include appends it has not
+// forced yet, so it must never count as an ACK.
+TEST(ZabUnit, LogTailNeverCountsAsAck) {
+  Fixture f(3);
+  f.make_leader_of_epoch1();
+  const auto r = f.node.broadcast(to_bytes("a"));
+  ASSERT_TRUE(r.is_ok());
+  const Zxid z = r.value();
+  f.env.advance(0);
+  (void)f.env.drain();
+
+  // Follower 1 resyncs, naming z as the last zxid of its (unforced) log.
+  inject(f.node, 1, CEpochMsg{1, 1, z});
+  (void)f.env.drain();
+  EXPECT_TRUE(f.delivered.empty());
+  EXPECT_LT(f.node.last_committed(), z);
+
+  inject(f.node, 2, AckMsg{1, z});
+  EXPECT_EQ(f.node.last_committed(), z);
+  ASSERT_EQ(f.delivered.size(), 1u);
+  EXPECT_EQ(f.delivered[0].zxid, z);
+}
+
+// The other half of the rule: a follower that re-joins through CEPOCH keeps
+// the acks it already sent, since its log still holds what it acked.
+TEST(ZabUnit, AcksSurviveFollowerRejoin) {
+  Fixture f(3);
+  f.make_leader_of_epoch1();
+  std::vector<std::function<void()>> held;  // the leader's own appends
+  f.storage.set_scheduler([&held](std::size_t, std::function<void()> cb) {
+    held.push_back(std::move(cb));
+  });
+  const auto r = f.node.broadcast(to_bytes("a"));
+  ASSERT_TRUE(r.is_ok());
+  const Zxid z = r.value();
+  f.env.advance(0);
+  inject(f.node, 1, AckMsg{1, z});
+  EXPECT_LT(f.node.last_committed(), z);  // the leader's append is pending
+
+  inject(f.node, 1, CEpochMsg{1, 1, z});
+  (void)f.env.drain();
+  ASSERT_EQ(held.size(), 1u);
+  held[0]();  // the leader's own ACK: with follower 1's, a quorum
+  EXPECT_EQ(f.node.last_committed(), z);
+  ASSERT_EQ(f.delivered.size(), 1u);
+}
+
 TEST(ZabUnit, PongActsAsCumulativeAck) {
   Fixture f(3);
   f.make_leader_of_epoch1();
@@ -697,6 +745,39 @@ TEST(ZabUnit, SingleVoterLeaderProposesBeforeItCommits) {
   EXPECT_EQ(proposed, last);
   EXPECT_EQ(commits, 5u);
   EXPECT_GE(pings, 2u);
+}
+
+// A deliver handler may re-enter broadcast() (closed-loop clients do). With
+// one voter and storage that completes appends inside append(), the new txn
+// commits inside the handler; the running delivery loop must deliver it
+// after the current txn, each exactly once.
+TEST(ZabUnit, DeliverHandlerMayBroadcastOnSingleVoterWithSyncStorage) {
+  ZabConfig cfg;
+  cfg.id = 1;
+  cfg.peers = {1};
+  ScriptedEnv env(1);
+  storage::MemStorage st;
+  ZabNode node(cfg, env, st);
+  std::vector<Zxid> delivered;
+  node.add_deliver_handler([&](const Txn& t) {
+    delivered.push_back(t.zxid);
+    if (delivered.size() == 1) {
+      EXPECT_TRUE(node.broadcast(to_bytes("nested")).is_ok());
+    }
+  });
+  node.start();
+  for (int i = 0; i < 200 && !node.is_active_leader(); ++i) {
+    env.advance(millis(5));
+  }
+  ASSERT_TRUE(node.is_active_leader());
+
+  const auto r = node.broadcast(to_bytes("outer"));
+  ASSERT_TRUE(r.is_ok());
+  const Zxid z1 = r.value();
+  const Zxid z2{z1.epoch, z1.counter + 1};
+  EXPECT_EQ(delivered, (std::vector<Zxid>{z1, z2}));
+  EXPECT_EQ(node.last_delivered(), z2);
+  EXPECT_EQ(node.outstanding_proposals(), 0u);
 }
 
 TEST(ZabUnit, FollowerAppendsBatchInOnePassAndAcksOnce) {
