@@ -38,8 +38,8 @@ struct ThreadedResult {
   std::string decomposition;
 };
 
-/// Closed-loop client against a real threaded 3-node ensemble (in-proc
-/// transport, TCP client port), measuring wall-clock write latency on the
+/// Closed-loop client against a real threaded 3-node ensemble (loopback TCP
+/// peers and client port), measuring wall-clock write latency on the
 /// client and the server's own attribution of the same ops out of the
 /// zab.op.* histograms (no observer hook, so the measured cost is exactly
 /// what production pays). Span bookkeeping is toggled between interleaved

@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   {
     RuntimeClusterConfig cfg;
     cfg.n = 3;
-    cfg.use_tcp = true;
     cfg.storage_dir = workdir;
     RuntimeCluster cluster(cfg);
     if (Status st = cluster.start(); !st.is_ok()) {
@@ -117,7 +116,6 @@ int main(int argc, char** argv) {
   {
     RuntimeClusterConfig cfg;
     cfg.n = 3;
-    cfg.use_tcp = true;
     cfg.storage_dir = workdir;  // same directories: recovery path
     RuntimeCluster cluster(cfg);
     if (Status st = cluster.start(); !st.is_ok()) {

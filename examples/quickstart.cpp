@@ -1,9 +1,10 @@
 // Quickstart: a 3-replica coordination service in one process.
 //
-// Starts three Zab replicas on real threads (in-process transport), waits
-// for leader election, and uses the replicated data tree: create a znode,
-// read it from every replica, conditional update, and a watch that fires
-// when the value changes.
+// Starts three Zab replicas on real threads, talking TCP over loopback,
+// waits for leader election, and uses the replicated data tree: create a
+// znode, read it from every replica, conditional update, and a watch that
+// fires when the value changes. Exits 1 when a step does not come out as
+// it prints.
 //
 //   $ ./examples/quickstart
 #include <atomic>
@@ -42,7 +43,9 @@ pb::OpResult write(RuntimeCluster& cluster, NodeId id,
       done = true;
     });
   });
-  eventually([&] { return done.load(); });
+  if (!eventually([&] { return done.load(); })) {
+    out.status = Status::timeout("no reply");
+  }
   return out;
 }
 
@@ -50,7 +53,7 @@ pb::OpResult write(RuntimeCluster& cluster, NodeId id,
 
 int main() {
   logging::set_default_level(LogLevel::kWarn);
-  std::printf("== Zab quickstart: 3 replicas, in-process transport ==\n\n");
+  std::printf("== Zab quickstart: 3 replicas over loopback TCP ==\n\n");
 
   RuntimeClusterConfig cfg;
   cfg.n = 3;
@@ -75,6 +78,7 @@ int main() {
                    });
   std::printf("create /config -> %s (zxid %s)\n",
               res.status.to_string().c_str(), to_string(res.zxid).c_str());
+  bool ok = res.status.is_ok();
 
   // 2. Read it back from every replica (local reads).
   for (NodeId n = 1; n <= 3; ++n) {
@@ -109,6 +113,7 @@ int main() {
               });
   std::printf("set /config (if version==0) via node %u -> %s\n", follower,
               res.status.to_string().c_str());
+  ok = ok && res.status.is_ok();
   eventually([&] { return watch_fired.load(); });
 
   // 5. A stale conditional update fails with BadVersion.
@@ -119,6 +124,7 @@ int main() {
               });
   std::printf("set /config (stale version) -> %s (expected BadVersion)\n",
               res.status.to_string().c_str());
+  ok = ok && res.status.code() == Code::kBadVersion;
 
   cluster.with_tree(leader, [](pb::ReplicatedTree& t) {
     auto stat = t.stat("/config");
@@ -128,6 +134,10 @@ int main() {
   });
 
   cluster.stop();
+  if (!ok) {
+    std::printf("\nquickstart FAILED: a step did not come out as printed.\n");
+    return 1;
+  }
   std::printf("\nquickstart complete.\n");
   return 0;
 }

@@ -4,7 +4,7 @@
 // single-threaded: they react to messages and timers and emit sends and new
 // timers through this interface. Two implementations exist:
 //   * sim::NodeEnv   — deterministic discrete-event simulation
-//   * net::RuntimeEnv — real threads, real clock, in-process or TCP transport
+//   * net::RuntimeEnv — real threads, real clock, TCP transport
 // Protocol code never includes simulator or socket headers.
 #pragma once
 

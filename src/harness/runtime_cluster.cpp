@@ -14,194 +14,35 @@ RuntimeCluster::~RuntimeCluster() { stop(); }
 
 Status RuntimeCluster::start() {
   if (started_) return Status::ok();
-
-  // One registry per node, shared by its transport, storage and ZabNode.
-  // Created up front because the TCP transports (below) are built before
-  // their slots.
-  std::vector<std::unique_ptr<MetricsRegistry>> regs;
-  for (std::size_t i = 0; i < cfg_.n; ++i) {
-    regs.push_back(std::make_unique<MetricsRegistry>());
+  started_ = true;  // stop() tears down whatever a failed start() built
+  if (!cfg_.crash_dump_path.empty()) recorder_.set_path(cfg_.crash_dump_path);
+  for (std::size_t i = 1; i <= cfg_.n; ++i) {
+    ZAB_RETURN_IF_ERROR(make_slot(static_cast<NodeId>(i)));
   }
-
-  // Bind every TCP listener first (ephemeral ports supported), then share
-  // the complete port map with every transport before any node dials out.
-  std::vector<std::unique_ptr<net::TcpTransport>> tcp;
-  if (cfg_.use_tcp) {
-    std::map<NodeId, std::uint16_t> ports;
-    for (std::size_t i = 0; i < cfg_.n; ++i) {
-      const NodeId id = static_cast<NodeId>(i + 1);
-      net::TcpConfig tc;
-      tc.id = id;
-      tc.metrics = regs[i].get();
-      tc.ports[id] =
-          cfg_.base_port == 0
-              ? 0
-              : static_cast<std::uint16_t>(cfg_.base_port + id);
-      auto t = net::TcpTransport::create(tc);
-      if (!t.is_ok()) return t.status();
-      tcp.push_back(std::move(t).take());
-      ports[id] = tcp.back()->listen_port();
-    }
-    for (auto& t : tcp) t->set_peer_ports(ports);
-  }
-
-  for (std::size_t i = 0; i < cfg_.n; ++i) {
-    const NodeId id = static_cast<NodeId>(i + 1);
-    auto slot = std::make_unique<Slot>();
-    slot->id = id;
-    slot->metrics = std::move(regs[i]);
-
-    if (cfg_.use_tcp) {
-      slot->transport = std::move(tcp[i]);
-    } else {
-      slot->transport = std::make_unique<net::InprocTransport>(hub_, id);
-    }
-
-    if (!cfg_.storage_dir.empty()) {
-      storage::FileStorageOptions opts;
-      opts.dir = cfg_.storage_dir + "/node" + std::to_string(id);
-      opts.fsync = cfg_.fsync;
-      if (cfg_.group_commit) {
-        opts.sync_mode = storage::FileStorageOptions::SyncMode::kGroupCommit;
-      }
-      opts.metrics = slot->metrics.get();
-      auto fs = storage::FileStorage::open(opts);
-      if (!fs.is_ok()) return fs.status();
-      slot->file_storage = fs.value().get();
-      slot->storage = std::move(fs).take();
-    } else {
-      slot->storage = std::make_unique<storage::MemStorage>();
-    }
-
-    slot->env = std::make_unique<net::RuntimeEnv>(id, cfg_.seed + id,
-                                                  *slot->transport);
-    if (slot->file_storage) {
-      // Group-commit completions must run on the node's loop thread; in
-      // kSync mode the poster is simply never invoked.
-      net::RuntimeEnv* env = slot->env.get();
-      slot->file_storage->set_completion_poster(
-          [env](std::function<void()> fn) { env->post(std::move(fn)); });
-    }
-    slots_.push_back(std::move(slot));
-  }
-
-  for (auto& s : slots_) {
-    Slot* slot = s.get();
-    slot->env->start([this, slot] {
-      ZabConfig nc = cfg_.node;
-      nc.id = slot->id;
-      nc.peers.clear();
-      for (std::size_t i = 0; i < cfg_.n; ++i) {
-        nc.peers.push_back(static_cast<NodeId>(i + 1));
-      }
-      slot->node = std::make_unique<ZabNode>(nc, *slot->env, *slot->storage,
-                                             slot->metrics.get());
-      if (cfg_.with_trees) {
-        slot->tree = std::make_unique<pb::ReplicatedTree>(*slot->node);
-      }
-      slot->transport->set_handler(
-          [slot](NodeId from, Bytes payload) {
-            if (slot->muted.load(std::memory_order_relaxed)) return;
-            slot->env->post([slot, from, payload = std::move(payload)] {
-              if (slot->node) slot->node->on_message(from, payload);
-            });
-          });
-      slot->node->start();
-    });
-  }
-
-  if (cfg_.with_client_service) {
-    for (auto& s : slots_) {
-      // Barrier: the tree is constructed on the loop; sync before use.
-      s->env->run_sync([] {});
-      s->client = std::make_unique<pb::ClientService>(*s->env, *s->tree);
-      ZAB_RETURN_IF_ERROR(s->client->start("127.0.0.1", 0));
-    }
-  }
-
-  if (!cfg_.crash_dump_path.empty()) {
-    recorder_.set_path(cfg_.crash_dump_path);
-    for (auto& s : slots_) {
-      Slot* slot = s.get();
-      slot->recorder_slot = recorder_.register_slot();
-      // The sink runs on the node's loop at watchdog cadence; a NEW stall
-      // also forces an immediate dump — the exact moment the pipeline
-      // wedged, not 50 ms of drift later.
-      slot->env->run_sync([this, slot] {
-        slot->node->set_postmortem_sink(
-            [this, slot](const std::string& bundle, bool stalled) {
-              recorder_.publish(slot->recorder_slot, bundle);
-              if (stalled) recorder_.dump_now("stall");
-            });
-      });
-    }
-    recorder_.install();
-  }
-
-  if (cfg_.with_admin) {
-    for (auto& s : slots_) {
-      s->env->run_sync([] {});  // barrier: node/tree constructed on the loop
-      net::AdminConfig ac;
-      ac.port = cfg_.admin_base_port == 0
-                    ? 0
-                    : static_cast<std::uint16_t>(cfg_.admin_base_port + s->id);
-      s->admin = std::make_unique<net::AdminServer>(
-          ac, pb::make_admin_collector(*s->env, *s->node, s->tree.get(),
-                                       *s->storage));
-      ZAB_RETURN_IF_ERROR(s->admin->start());
-    }
-  }
-  started_ = true;
+  for (auto& s : slots_) s->transport->set_peer_ports(ports_);
+  for (auto& s : slots_) start_loop(*s);
+  for (auto& s : slots_) ZAB_RETURN_IF_ERROR(start_services(*s));
+  if (!cfg_.crash_dump_path.empty()) recorder_.install();
   return Status::ok();
 }
 
-void RuntimeCluster::stop() {
-  if (!started_) return;
-  recorder_.uninstall();
-  for (auto& s : slots_) {
-    if (!s) continue;  // tombstone left by remove_server
-    // Admin servers go first: their collectors post onto loops that are
-    // about to stop.
-    if (s->admin) s->admin->stop();
-    if (s->client) s->client->stop();
-  }
-  // Silence nodes first (on their own loops), then stop loops & transports.
-  for (auto& s : slots_) {
-    if (!s) continue;
-    s->env->run_sync([&s] {
-      if (s->node) s->node->shutdown();
-    });
-  }
-  for (auto& s : slots_) {
-    if (s) s->transport->shutdown();
-  }
-  for (auto& s : slots_) {
-    if (s) s->env->stop();
-  }
-  for (auto& s : slots_) {
-    if (!s) continue;
-    s->node.reset();
-    s->tree.reset();
-  }
-  slots_.clear();
-  started_ = false;
-}
-
-Status RuntimeCluster::add_server(NodeId id) {
-  if (!started_) return Status::not_ready("cluster not started");
-  if (cfg_.use_tcp) {
-    return Status::invalid_argument(
-        "add_server supports the in-process transport only");
-  }
-  if (id != static_cast<NodeId>(slots_.size() + 1)) {
-    return Status::invalid_argument("server ids must stay contiguous");
-  }
-
-  // Same slot recipe as start(), for one server.
+Status RuntimeCluster::make_slot(NodeId id) {
   auto slot = std::make_unique<Slot>();
   slot->id = id;
+  // One registry per node, shared by its transport, storage and ZabNode.
   slot->metrics = std::make_unique<MetricsRegistry>();
-  slot->transport = std::make_unique<net::InprocTransport>(hub_, id);
+
+  net::TcpConfig tc;
+  tc.id = id;
+  tc.metrics = slot->metrics.get();
+  tc.ports[id] = cfg_.base_port == 0
+                     ? 0
+                     : static_cast<std::uint16_t>(cfg_.base_port + id);
+  auto t = net::TcpTransport::create(tc);
+  if (!t.is_ok()) return t.status();
+  slot->transport = std::move(t).take();
+  ports_[id] = slot->transport->listen_port();
+
   if (!cfg_.storage_dir.empty()) {
     storage::FileStorageOptions opts;
     opts.dir = cfg_.storage_dir + "/node" + std::to_string(id);
@@ -217,66 +58,97 @@ Status RuntimeCluster::add_server(NodeId id) {
   } else {
     slot->storage = std::make_unique<storage::MemStorage>();
   }
+
   slot->env = std::make_unique<net::RuntimeEnv>(id, cfg_.seed + id,
                                                 *slot->transport);
   if (slot->file_storage) {
+    // Group-commit completions must run on the node's loop thread; in
+    // kSync mode the poster is simply never invoked.
     net::RuntimeEnv* env = slot->env.get();
     slot->file_storage->set_completion_poster(
         [env](std::function<void()> fn) { env->post(std::move(fn)); });
   }
+  if (!cfg_.crash_dump_path.empty()) {
+    // A restarted server takes a fresh slot: the crashed one keeps its
+    // last bundle for the post-mortem.
+    slot->recorder_slot = recorder_.register_slot();
+  }
+  if (slots_.size() < id) slots_.resize(id);
+  slots_[id - 1] = std::move(slot);
+  return Status::ok();
+}
 
-  Slot* raw = slot.get();
-  slots_.push_back(std::move(slot));
-  raw->env->start([this, raw, id] {
+void RuntimeCluster::start_loop(Slot& s) {
+  Slot* slot = &s;
+  slot->env->start([this, slot] {
     ZabConfig nc = cfg_.node;
-    nc.id = id;
-    // Seed config: learner. The original voting ensemble stays in `peers`;
-    // the joiner itself boots as an observer, so it locates the leader and
+    nc.id = slot->id;
+    // Seed config: the original ensemble votes. A server added mid-run
+    // boots as a learner: it observes, so it locates the leader and
     // DIFF/SNAP-syncs without voting or counting toward any quorum. The
     // committed reconfig txn — not this seed — is what makes it a voter.
     nc.peers.clear();
-    for (std::size_t i = 0; i < cfg_.n; ++i) {
-      nc.peers.push_back(static_cast<NodeId>(i + 1));
+    for (std::size_t i = 1; i <= cfg_.n; ++i) {
+      nc.peers.push_back(static_cast<NodeId>(i));
     }
-    nc.observers.clear();
-    nc.observers.push_back(id);
-    raw->node = std::make_unique<ZabNode>(nc, *raw->env, *raw->storage,
-                                          raw->metrics.get());
+    if (slot->id > cfg_.n) nc.observers = {slot->id};
+    slot->node = std::make_unique<ZabNode>(nc, *slot->env, *slot->storage,
+                                           slot->metrics.get());
     if (cfg_.with_trees) {
-      raw->tree = std::make_unique<pb::ReplicatedTree>(*raw->node);
+      slot->tree = std::make_unique<pb::ReplicatedTree>(*slot->node);
     }
-    raw->transport->set_handler([raw](NodeId from, Bytes payload) {
-      if (raw->muted.load(std::memory_order_relaxed)) return;
-      raw->env->post([raw, from, payload = std::move(payload)] {
-        if (raw->node) raw->node->on_message(from, payload);
+    slot->transport->set_handler([slot](NodeId from, Bytes payload) {
+      if (slot->muted.load(std::memory_order_relaxed)) return;
+      slot->env->post([slot, from, payload = std::move(payload)] {
+        if (slot->node) slot->node->on_message(from, payload);
       });
     });
-    raw->node->start();
+    if (slot->recorder_slot >= 0) {
+      // The sink runs on the node's loop at watchdog cadence; a NEW stall
+      // also forces an immediate dump — the exact moment the pipeline
+      // wedged, not 50 ms of drift later.
+      slot->node->set_postmortem_sink(
+          [this, slot](const std::string& bundle, bool stalled) {
+            recorder_.publish(slot->recorder_slot, bundle);
+            if (stalled) recorder_.dump_now("stall");
+          });
+    }
+    slot->node->start();
   });
+}
 
+Status RuntimeCluster::start_services(Slot& s) {
+  Slot* slot = &s;
+  // The node and tree are constructed on the loop: sync before use.
+  slot->env->run_sync([] {});
   if (cfg_.with_client_service) {
-    raw->env->run_sync([] {});  // barrier: tree constructed on the loop
-    raw->client = std::make_unique<pb::ClientService>(*raw->env, *raw->tree);
-    ZAB_RETURN_IF_ERROR(raw->client->start("127.0.0.1", 0));
+    slot->client = std::make_unique<pb::ClientService>(*slot->env, *slot->tree);
+    ZAB_RETURN_IF_ERROR(slot->client->start("127.0.0.1", 0));
   }
   if (cfg_.with_admin) {
-    raw->env->run_sync([] {});
     net::AdminConfig ac;
     ac.port = cfg_.admin_base_port == 0
                   ? 0
-                  : static_cast<std::uint16_t>(cfg_.admin_base_port + id);
-    raw->admin = std::make_unique<net::AdminServer>(
-        ac, pb::make_admin_collector(*raw->env, *raw->node, raw->tree.get(),
-                                     *raw->storage));
-    ZAB_RETURN_IF_ERROR(raw->admin->start());
+                  : static_cast<std::uint16_t>(cfg_.admin_base_port + slot->id);
+    slot->admin = std::make_unique<net::AdminServer>(
+        ac, pb::make_admin_collector(*slot->env, *slot->node, slot->tree.get(),
+                                     *slot->storage));
+    ZAB_RETURN_IF_ERROR(slot->admin->start());
   }
   return Status::ok();
 }
 
-void RuntimeCluster::remove_server(NodeId id) {
-  if (id == kNoNode || id > slots_.size()) return;
-  auto& s = slots_.at(id - 1);
-  if (!s) return;
+Status RuntimeCluster::boot(NodeId id) {
+  ZAB_RETURN_IF_ERROR(make_slot(id));
+  for (auto& s : slots_) {
+    if (s) s->transport->set_peer_ports(ports_);
+  }
+  start_loop(*slots_[id - 1]);
+  return start_services(*slots_[id - 1]);
+}
+
+void RuntimeCluster::teardown(std::unique_ptr<Slot>& s) {
+  // Admin first: its collector posts onto the loop stopped below.
   if (s->admin) s->admin->stop();
   if (s->client) s->client->stop();
   s->env->run_sync([&s] {
@@ -284,9 +156,50 @@ void RuntimeCluster::remove_server(NodeId id) {
   });
   s->transport->shutdown();
   s->env->stop();
-  s->node.reset();
-  s->tree.reset();
   s.reset();  // tombstone: ids of surviving slots stay stable
+}
+
+void RuntimeCluster::stop() {
+  if (!started_) return;
+  recorder_.uninstall();
+  for (auto& s : slots_) {
+    if (s) teardown(s);
+  }
+  slots_.clear();
+  ports_.clear();
+  started_ = false;
+}
+
+Status RuntimeCluster::add_server(NodeId id) {
+  if (!started_) return Status::not_ready("cluster not started");
+  if (id != static_cast<NodeId>(slots_.size() + 1)) {
+    return Status::invalid_argument("server ids must stay contiguous");
+  }
+  return boot(id);
+}
+
+void RuntimeCluster::remove_server(NodeId id) {
+  if (id == kNoNode || id > slots_.size() || !slots_[id - 1]) return;
+  teardown(slots_[id - 1]);
+}
+
+Status RuntimeCluster::crash(NodeId id) {
+  if (cfg_.storage_dir.empty()) {
+    return Status::invalid_argument("crash needs file-backed storage");
+  }
+  if (id == kNoNode || id > slots_.size() || !slots_[id - 1]) {
+    return Status::invalid_argument("no such live server");
+  }
+  teardown(slots_[id - 1]);
+  return Status::ok();
+}
+
+Status RuntimeCluster::restart(NodeId id) {
+  if (cfg_.storage_dir.empty() || id == kNoNode || id > slots_.size() ||
+      slots_[id - 1]) {
+    return Status::invalid_argument("no such crashed server");
+  }
+  return boot(id);
 }
 
 NodeId RuntimeCluster::wait_for_leader(Duration max_wait) {

@@ -1,19 +1,19 @@
-// A Zab ensemble on real threads (one event loop per node) with either the
-// in-process hub or TCP loopback as transport, and in-memory or file-backed
-// storage. Used by the threaded examples and the net-layer tests; the
-// simulator (SimCluster) remains the tool for protocol experiments.
+// A Zab ensemble on real threads (one event loop per node) over loopback
+// TCP, with in-memory or file-backed storage. Every server is built by one
+// recipe, whether start(), add_server() or restart() boots it. Used by the
+// threaded examples, tests and benches; the simulator (SimCluster) remains
+// the tool for protocol experiments.
 #pragma once
 
+#include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <atomic>
-
 #include "common/flight_recorder.h"
 #include "harness/trace_collector.h"
 #include "net/admin_server.h"
-#include "net/inproc.h"
 #include "net/runtime_env.h"
 #include "net/tcp_transport.h"
 #include "pb/client_service.h"
@@ -26,6 +26,8 @@ namespace zab::harness {
 
 struct RuntimeClusterConfig {
   std::size_t n = 3;
+  /// Unused: peers always talk TCP. Callers that still set it keep
+  /// building.
   bool use_tcp = false;
   /// TCP base port; node i listens on base_port + i. 0 picks ephemeral
   /// ports (recommended for tests).
@@ -69,7 +71,7 @@ class RuntimeCluster {
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
-  /// Wait (real time) until some node leads; kNoNode on timeout.
+  /// Wait (real time) until some live node leads; kNoNode on timeout.
   NodeId wait_for_leader(Duration max_wait = seconds(10));
 
   /// Thread-safe accessors: run `fn` on the node's loop thread.
@@ -121,8 +123,9 @@ class RuntimeCluster {
 
   /// Pull every node's trace ring, apply the leader's clock-offset
   /// estimates, and return the merged collector (call merge()/dump_jsonl()
-  /// on it). With no active leader, offsets default to 0 — fine in-process
-  /// where all nodes share one monotonic clock.
+  /// on it). With no active leader, offsets default to 0 — fine in one
+  /// process, where all nodes share one monotonic clock. Crashed nodes are
+  /// skipped.
   [[nodiscard]] TraceCollector collect_traces();
 
   /// collect_traces() + JSONL dump to `path` (one object per zxid).
@@ -144,25 +147,38 @@ class RuntimeCluster {
   /// config lists it as an observer of the existing ensemble, so it finds
   /// the leader, syncs, and serves — promotion to voter happens through the
   /// replicated reconfig pipeline, not here). Ids must stay contiguous:
-  /// the new id is size() + 1. In-process transport only; the slot gets the
-  /// same storage/client-service/admin treatment the config asked for at
-  /// start(). Call `reconfig add` (via client or tree) separately to make
-  /// it a voter.
+  /// the new id is size() + 1. It binds its listener first, then every
+  /// live server learns its port. Call `reconfig add` (via client or tree)
+  /// separately to make it a voter.
   Status add_server(NodeId id);
 
-  /// Stop and destroy one server's slot (loop, transport, storage handle,
-  /// services). The protocol-level removal — committing the config without
-  /// it — is the caller's job and should normally happen FIRST, so the
-  /// remaining ensemble does not wait on a dead member. The slot becomes a
-  /// tombstone: per-node accessors for this id are invalid afterwards.
+  /// Stop and destroy one server's slot (admin plane, client service, node,
+  /// transport, loop, storage handle). The protocol-level removal —
+  /// committing the config without it — is the caller's job and should
+  /// normally happen FIRST, so the remaining ensemble does not wait on a
+  /// dead member. The slot becomes a tombstone: per-node accessors for this
+  /// id are invalid afterwards.
   void remove_server(NodeId id);
+
+  /// Crash one server: the teardown of remove_server(), after which
+  /// restart() can boot it again from its storage directory. Per-node
+  /// accessors for a crashed id are invalid until then. File-backed
+  /// clusters only (kInvalidArgument otherwise): a voter that restarts
+  /// empty has forgotten the txns it acked, which is outside Zab's
+  /// crash-recovery model.
+  Status crash(NodeId id);
+
+  /// Boot a crashed server again: same seed config, its storage reopened
+  /// from the same directory, a new listener whose port every live server
+  /// learns.
+  Status restart(NodeId id);
 
  private:
   struct Slot {
     NodeId id = kNoNode;
     // Created before transport/storage/node so all three can share it.
     std::unique_ptr<MetricsRegistry> metrics;
-    std::unique_ptr<net::Transport> transport;
+    std::unique_ptr<net::TcpTransport> transport;
     std::unique_ptr<net::RuntimeEnv> env;
     std::unique_ptr<storage::ZabStorage> storage;
     storage::FileStorage* file_storage = nullptr;  // non-null iff file-backed
@@ -176,9 +192,24 @@ class RuntimeCluster {
     std::atomic<bool> muted{false};
   };
 
+  /// Build server `id` up to its bound listener, its storage and its
+  /// (idle) loop, in slot id - 1. Its loop starts once every transport
+  /// knows the new port: a node that sends to a peer whose port it does not
+  /// know yet waits out the transport's redial backoff.
+  Status make_slot(NodeId id);
+  /// Start a built slot's loop, which constructs and starts node and tree.
+  void start_loop(Slot& s);
+  /// Then the client service and admin plane the config asks for.
+  Status start_services(Slot& s);
+  /// make_slot, publish the port, start_loop, start_services: one server
+  /// mid-run.
+  Status boot(NodeId id);
+  /// Stop and destroy one slot, leaving a null entry.
+  void teardown(std::unique_ptr<Slot>& s);
+
   RuntimeClusterConfig cfg_;
-  net::InprocHub hub_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<std::unique_ptr<Slot>> slots_;  // null: removed or crashed
+  std::map<NodeId, std::uint16_t> ports_;     // every listener ever bound
   FlightRecorder recorder_;
   bool started_ = false;
 };

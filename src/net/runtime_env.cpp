@@ -6,7 +6,7 @@
 
 namespace zab::net {
 
-RuntimeEnv::RuntimeEnv(NodeId id, std::uint64_t seed, Transport& transport)
+RuntimeEnv::RuntimeEnv(NodeId id, std::uint64_t seed, TcpTransport& transport)
     : id_(id), rng_(seed ^ (0x9e3779b97f4a7c15ull * id)), transport_(&transport) {}
 
 RuntimeEnv::~RuntimeEnv() { stop(); }
@@ -30,7 +30,8 @@ void RuntimeEnv::post(std::function<void()> fn) {
 }
 
 void RuntimeEnv::run_sync(std::function<void()> fn) {
-  if (std::this_thread::get_id() == thread_.get_id()) {
+  // Inline on the loop thread, and when no loop thread runs.
+  if (!thread_.joinable() || std::this_thread::get_id() == thread_.get_id()) {
     fn();
     return;
   }

@@ -16,13 +16,13 @@
 
 #include "common/env.h"
 #include "common/time.h"
-#include "net/transport.h"
+#include "net/tcp_transport.h"
 
 namespace zab::net {
 
 class RuntimeEnv final : public Env {
  public:
-  RuntimeEnv(NodeId id, std::uint64_t seed, Transport& transport);
+  RuntimeEnv(NodeId id, std::uint64_t seed, TcpTransport& transport);
   ~RuntimeEnv() override;
   RuntimeEnv(const RuntimeEnv&) = delete;
   RuntimeEnv& operator=(const RuntimeEnv&) = delete;
@@ -34,7 +34,8 @@ class RuntimeEnv final : public Env {
   /// Run `fn` on the loop thread (thread-safe; callable from anywhere).
   void post(std::function<void()> fn);
 
-  /// Run `fn` on the loop thread and wait for it to finish.
+  /// Run `fn` on the loop thread and wait for it to finish (before start()
+  /// and after stop(): on the caller's thread).
   void run_sync(std::function<void()> fn);
 
   /// Stop the loop and join the thread. Safe to call twice.
@@ -55,7 +56,7 @@ class RuntimeEnv final : public Env {
 
   NodeId id_;
   Rng rng_;
-  Transport* transport_;
+  TcpTransport* transport_;
   SystemClock clock_;
 
   std::mutex mu_;

@@ -1,9 +1,13 @@
-// TCP mesh transport: length-prefixed frames over per-pair connections.
+// TCP mesh transport: length-prefixed frames over per-pair connections. It
+// is the real runtime's only peer transport; one instance belongs to one
+// node.
 //
-// Mirrors ZooKeeper's transport choice (dedicated TCP channels between
-// servers, §6): reliable FIFO delivery while a connection lives, and silent
-// drops across connection breaks — exactly the failure model the protocol's
-// re-sync path expects.
+// Delivery contract: best-effort and FIFO per (sender, receiver) while a
+// connection lives, with silent drops across connection breaks — the same
+// contract the simulator provides, and the failure model the protocol's
+// re-sync path expects. It mirrors ZooKeeper's transport choice (dedicated
+// TCP channels between servers, §6). The receive handler runs on the IO
+// thread; RuntimeEnv users post each message onto the node's event loop.
 //
 // Topology: every node listens on its configured port; for sending to peer
 // P it maintains one *outgoing* connection to P (created lazily, re-dialed
@@ -24,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,7 +39,6 @@
 #include "common/metrics_registry.h"
 #include "common/status.h"
 #include "net/reactor.h"
-#include "net/transport.h"
 
 namespace zab::net {
 
@@ -56,15 +60,23 @@ struct TcpConfig {
   MetricsRegistry* metrics = nullptr;
 };
 
-class TcpTransport final : public Transport {
+class TcpTransport {
  public:
+  using Handler = std::function<void(NodeId from, Bytes payload)>;
+
   /// Binds the listen socket and starts the IO thread.
   static Result<std::unique_ptr<TcpTransport>> create(TcpConfig cfg);
-  ~TcpTransport() override;
+  ~TcpTransport();
+  TcpTransport(const TcpTransport&) = delete;
+  TcpTransport& operator=(const TcpTransport&) = delete;
 
-  void send(NodeId to, Bytes payload) override;
-  void set_handler(Handler h) override;
-  void shutdown() override;
+  /// Best-effort, non-blocking send to a peer; thread-safe.
+  void send(NodeId to, Bytes payload);
+  /// Install the receive callback (set it before traffic flows).
+  void set_handler(Handler h);
+  /// Close every socket and stop the IO thread; no sends or receives after
+  /// this returns.
+  void shutdown();
 
   [[nodiscard]] std::uint16_t listen_port() const { return listen_port_; }
 

@@ -32,6 +32,14 @@ ReplicatedTree::ReplicatedTree(ZabNode& node)
     tracker_valid_ = false;
     pending_sessions_.clear();
     closing_sessions_.clear();
+    // Leaving the broadcast phase: a write forwarded to the old leader may
+    // have died with it, and nothing else would answer. A retriable answer
+    // makes the client replay under the same cxid, and the committed
+    // (session, cxid) record keeps the write exactly-once.
+    while (r == Role::kLooking && !pending_.empty()) {
+      fail_pending(pending_.begin()->first,
+                   Status::not_ready("left the broadcast phase"));
+    }
   });
   auto& m = node_->metrics();
   c_sessions_created_ = &m.counter("zab.sessions.created");
@@ -140,37 +148,25 @@ void ReplicatedTree::submit_multi(std::vector<Op> ops, ResultFn cb,
   const std::uint64_t req_id = next_req_id_++;
   OpRequest req{node_->id(), req_id, session, cxid, std::move(ops)};
   req.ingress_ns = ingress_ns;
-  if (cb) pending_[req_id] = Pending{std::move(cb), node_->env().now()};
+  if (cb) pending_[req_id] = std::move(cb);
 
   if (node_->is_active_leader()) {
     handle_request(encode_op_request(req));
     return;
   }
   const Status st = node_->submit(encode_op_request(req));
-  if (!st.is_ok()) {
-    auto it = pending_.find(req_id);
-    if (it != pending_.end()) {
-      OpResult res;
-      res.status = st;
-      it->second.cb(res);
-      pending_.erase(it);
-      ++stats_.writes_failed;
-    }
-  }
+  if (!st.is_ok()) fail_pending(req_id, st);
 }
 
-void ReplicatedTree::expire_pending_before(TimePoint cutoff) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.submitted < cutoff) {
-      OpResult res;
-      res.status = Status::timeout("request expired");
-      it->second.cb(res);
-      it = pending_.erase(it);
-      ++stats_.writes_failed;
-    } else {
-      ++it;
-    }
-  }
+void ReplicatedTree::fail_pending(std::uint64_t req_id, const Status& st) {
+  auto it = pending_.find(req_id);
+  if (it == pending_.end()) return;
+  const ResultFn cb = std::move(it->second);
+  pending_.erase(it);
+  OpResult res;
+  res.status = st;
+  cb(res);
+  ++stats_.writes_failed;
 }
 
 // --- Primary-side request execution ------------------------------------------------
@@ -251,16 +247,7 @@ void ReplicatedTree::handle_request(Bytes payload) {
   if (!res.is_ok()) {
     // Back-pressure or leadership lost mid-call: the origin's retry loop
     // handles it. Complete locally if the request was ours.
-    if (r.origin == node_->id()) {
-      auto it = pending_.find(r.req_id);
-      if (it != pending_.end()) {
-        OpResult fail;
-        fail.status = res.status();
-        it->second.cb(fail);
-        pending_.erase(it);
-        ++stats_.writes_failed;
-      }
-    }
+    if (r.origin == node_->id()) fail_pending(r.req_id, res.status());
     return;
   }
 
@@ -293,14 +280,7 @@ void ReplicatedTree::handle_reconfig(const OpRequest& r) {
     err.error = code;
     const auto res = node_->broadcast(encode_tree_txn(err));
     if (!res.is_ok() && r.origin == node_->id()) {
-      auto it = pending_.find(r.req_id);
-      if (it != pending_.end()) {
-        OpResult fail;
-        fail.status = res.status();
-        it->second.cb(fail);
-        pending_.erase(it);
-        ++stats_.writes_failed;
-      }
+      fail_pending(r.req_id, res.status());
     }
   };
 
@@ -357,14 +337,7 @@ void ReplicatedTree::handle_reconfig(const OpRequest& r) {
   if (!res.is_ok() && r.origin == node_->id()) {
     // Leadership lost mid-call or another reconfig in flight: a remote
     // origin's client retries via its own timeout, ours completes now.
-    auto it = pending_.find(r.req_id);
-    if (it != pending_.end()) {
-      OpResult fail;
-      fail.status = res.status();
-      it->second.cb(fail);
-      pending_.erase(it);
-      ++stats_.writes_failed;
-    }
+    fail_pending(r.req_id, res.status());
   }
 }
 
@@ -640,7 +613,7 @@ void ReplicatedTree::on_deliver(const Txn& txn) {
         OpResult res;
         res.status = Status::ok();
         res.zxid = txn.zxid;
-        it->second.cb(res);
+        it->second(res);
         pending_.erase(it);
         ++stats_.writes_completed;
       }
@@ -741,7 +714,7 @@ void ReplicatedTree::complete(const TreeTxn& t, Zxid zxid,
       res.session_id = t.owner;
     }
   }
-  it->second.cb(res);
+  it->second(res);
   pending_.erase(it);
   if (status.is_ok()) {
     ++stats_.writes_completed;

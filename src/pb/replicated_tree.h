@@ -124,10 +124,6 @@ class ReplicatedTree {
   [[nodiscard]] const TreeStats& stats() const { return stats_; }
   [[nodiscard]] ZabNode& node() { return *node_; }
 
-  /// Fail every pending request older than `cutoff` with kTimeout (drive
-  /// from the client's retry loop; uncommitted ops die with their epoch).
-  void expire_pending_before(TimePoint cutoff);
-
  private:
   /// Speculative view of a path on the primary: applied state + effects of
   /// txns broadcast but not yet applied (ZooKeeper's ChangeRecord).
@@ -161,6 +157,8 @@ class ReplicatedTree {
   void record_outstanding_for(const TreeTxn& sub, const Overlay& overlay);
   void release_outstanding_for(const TreeTxn& sub);
   void complete(const TreeTxn& t, Zxid zxid, const Status& status);
+  /// Answer one of this replica's own pending requests with an error.
+  void fail_pending(std::uint64_t req_id, const Status& st);
 
   // --- Session internals ----------------------------------------------------
   /// Heartbeat-cadence hook, active leader only: lazily (re)builds the
@@ -181,11 +179,7 @@ class ReplicatedTree {
   DataTree tree_;
   TreeStats stats_;
   std::map<std::string, ChangeRecord> outstanding_;
-  struct Pending {
-    ResultFn cb;
-    TimePoint submitted;
-  };
-  std::unordered_map<std::uint64_t, Pending> pending_;  // req_id -> cb
+  std::unordered_map<std::uint64_t, ResultFn> pending_;  // req_id -> cb
   std::uint64_t next_req_id_ = 1;
 
   // --- Session state --------------------------------------------------------

@@ -97,10 +97,12 @@ void ZabNode::leader_try_new_epoch() {
   for (const auto& [nid, fs] : followers_) send_to(nid, NewEpochMsg{e});
 
   // Our own history counts toward the NEWLEADER quorum once durable; in a
-  // single-node ensemble this alone activates the epoch.
+  // single-node ensemble this alone activates the epoch. It counts only
+  // while we vote: discovery may have activated a config that excludes us
+  // (PROTOCOL.md §16).
   if (last_durable_ >= history_end_) {
     self_history_durable_ = true;
-    newleader_acks_.insert(cfg_.id);
+    if (active_config_.is_voter(cfg_.id)) newleader_acks_.insert(cfg_.id);
     leader_try_activate();
   }
 }

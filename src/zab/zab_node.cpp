@@ -681,22 +681,22 @@ void ZabNode::refresh_config_gauges() {
 
 void ZabNode::apply_cluster_config(const ClusterConfig& c, Zxid z,
                                    bool committed) {
-  if (c.version <= active_config_.version) {
-    // Already active (redelivery after snapshot+replay overlap); just make
-    // sure a pending marker it satisfied is gone.
-    if (pending_config_ && pending_config_->zxid <= z) pending_config_.reset();
-    return;
-  }
-  active_config_ = c;
-  active_config_.config_zxid = z;
   if (pending_config_ && pending_config_->zxid <= z) pending_config_.reset();
-  refresh_config_gauges();
-  if (committed) c_reconfig_committed_->add();
-  ZAB_INFO() << "node " << cfg_.id << ": cluster config "
-             << to_string(active_config_) << " active"
-             << (committed ? "" : " (state transfer)");
-  for (auto& h : reconfig_handlers_) h(active_config_, z);
-
+  if (c.version > active_config_.version) {
+    active_config_ = c;
+    active_config_.config_zxid = z;
+    refresh_config_gauges();
+    if (committed) c_reconfig_committed_->add();
+    ZAB_INFO() << "node " << cfg_.id << ": cluster config "
+               << to_string(active_config_) << " active"
+               << (committed ? "" : " (state transfer)");
+    for (auto& h : reconfig_handlers_) h(active_config_, z);
+  }
+  // A config can already be active when it commits: redelivered after a
+  // snapshot and replay overlap, or activated by this leader's discovery
+  // (rescan_cluster_config). The leader's duties below hold either way —
+  // the second case is how a leader whose log ended in its own uncommitted
+  // removal hands off once that removal commits (PROTOCOL.md §16).
   if (role_ == Role::kLeading && activated_) {
     // Forget members the new config dropped (their heartbeats stop); late
     // joiners not yet in followers_ are unaffected.
@@ -788,7 +788,7 @@ void ZabNode::note_append_durable(Zxid z) {
     if (!self_history_durable_ && establishing_epoch_ != kNoEpoch &&
         last_durable_ >= history_end_) {
       self_history_durable_ = true;
-      newleader_acks_.insert(cfg_.id);
+      if (active_config_.is_voter(cfg_.id)) newleader_acks_.insert(cfg_.id);
       leader_try_activate();
     }
     // ...and its log write (last_durable_) is its ACK for its own

@@ -264,8 +264,10 @@ class ZabNode {
   }
 
   // --- Dynamic membership (zab_node.cpp) ---
-  /// Activate `c` at `z` (idempotent by version). `committed` distinguishes
-  /// a delivered reconfig txn from a snapshot/recovery adoption for the
+  /// Activate `c` at `z` (idempotent by version); on an activated leader,
+  /// every delivered config also re-arms its step-down check, whether or
+  /// not it was already active. `committed` distinguishes a delivered
+  /// reconfig txn from a snapshot/recovery adoption for the
   /// zab.reconfig.committed counter.
   void apply_cluster_config(const ClusterConfig& c, Zxid z, bool committed);
   /// Rebuild active_config_ from seed + snapshot wrapper + surviving log

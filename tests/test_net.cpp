@@ -1,5 +1,6 @@
-// Tests for the real-runtime layer: event-loop env, in-process transport,
-// the socket layer, TCP transport, and full threaded ensembles over both.
+// Tests for the real-runtime layer: event-loop env, the socket layer, TCP
+// transport, and full threaded ensembles over it, crash and restart
+// included.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -15,7 +16,6 @@
 #include <thread>
 
 #include "harness/runtime_cluster.h"
-#include "net/inproc.h"
 #include "net/reactor.h"
 #include "net/runtime_env.h"
 #include "net/tcp_transport.h"
@@ -36,10 +36,20 @@ bool eventually(Pred p, std::chrono::milliseconds budget = 5000ms) {
   return p();
 }
 
+/// A transport on an ephemeral port, for an env that sends nothing.
+std::unique_ptr<TcpTransport> idle_transport() {
+  TcpConfig tc;
+  tc.id = 1;
+  tc.ports[1] = 0;
+  auto t = TcpTransport::create(tc);
+  EXPECT_TRUE(t.is_ok()) << t.status().to_string();
+  return t.is_ok() ? std::move(t).take() : nullptr;
+}
+
 TEST(RuntimeEnv, RunsPostedTasksInOrder) {
-  InprocHub hub;
-  InprocTransport t(hub, 1);
-  RuntimeEnv env(1, 7, t);
+  auto t = idle_transport();
+  ASSERT_NE(t, nullptr);
+  RuntimeEnv env(1, 7, *t);
   std::vector<int> order;
   env.start(nullptr);
   for (int i = 0; i < 10; ++i) {
@@ -52,9 +62,9 @@ TEST(RuntimeEnv, RunsPostedTasksInOrder) {
 }
 
 TEST(RuntimeEnv, TimersFireAndCancel) {
-  InprocHub hub;
-  InprocTransport t(hub, 1);
-  RuntimeEnv env(1, 7, t);
+  auto t = idle_transport();
+  ASSERT_NE(t, nullptr);
+  RuntimeEnv env(1, 7, *t);
   std::atomic<int> fired{0};
   env.start(nullptr);
   env.run_sync([&] {
@@ -67,23 +77,6 @@ TEST(RuntimeEnv, TimersFireAndCancel) {
   std::this_thread::sleep_for(30ms);
   EXPECT_EQ(fired.load(), 1);
   env.stop();
-}
-
-TEST(Inproc, DeliversBetweenEndpoints) {
-  InprocHub hub;
-  InprocTransport a(hub, 1);
-  InprocTransport b(hub, 2);
-  std::atomic<int> got{0};
-  b.set_handler([&](NodeId from, Bytes payload) {
-    EXPECT_EQ(from, 1u);
-    EXPECT_EQ(payload, to_bytes("hello"));
-    ++got;
-  });
-  a.set_handler([](NodeId, Bytes) {});
-  a.send(2, to_bytes("hello"));
-  EXPECT_EQ(got.load(), 1);
-  // Sends to an unregistered node are dropped silently.
-  a.send(9, to_bytes("void"));
 }
 
 TEST(Tcp, ConnectsAndExchangesFrames) {
@@ -529,6 +522,10 @@ TEST(Reactor, BurstOfWakesWritesTheEventfdOnce) {
   reactor.wake();
   ASSERT_TRUE(eventually([&] { return drains.load() == 1; }));
   // The IO thread is inside on_wake: the burst below is not drained yet.
+  // Under ASan, reading the accounting file can count a write syscall of
+  // its own the first times it runs: a warm-up read keeps that out of the
+  // measured window.
+  (void)write_syscalls();
   const std::uint64_t before = write_syscalls();
   for (int i = 0; i < 1000; ++i) reactor.wake();
   EXPECT_EQ(write_syscalls() - before, 1u);
@@ -543,40 +540,9 @@ TEST(Reactor, BurstOfWakesWritesTheEventfdOnce) {
   reactor.stop();
 }
 
-TEST(RuntimeCluster, InprocEnsembleElectsAndReplicates) {
-  harness::RuntimeClusterConfig cfg;
-  cfg.n = 3;
-  harness::RuntimeCluster c(cfg);
-  ASSERT_TRUE(c.start().is_ok());
-  const NodeId l = c.wait_for_leader();
-  ASSERT_NE(l, kNoNode);
-
-  std::atomic<bool> done{false};
-  std::atomic<bool> ok{false};
-  c.with_tree(l, [&](pb::ReplicatedTree& tree) {
-    tree.create("/rt", to_bytes("v"), [&](const pb::OpResult& r) {
-      ok = r.status.is_ok();
-      done = true;
-    });
-  });
-  ASSERT_TRUE(eventually([&] { return done.load(); }));
-  EXPECT_TRUE(ok.load());
-
-  // The write reaches every replica.
-  for (NodeId n = 1; n <= 3; ++n) {
-    ASSERT_TRUE(eventually([&] {
-      bool has = false;
-      c.with_tree(n, [&](pb::ReplicatedTree& tree) { has = tree.exists("/rt"); });
-      return has;
-    })) << "node " << n;
-  }
-  c.stop();
-}
-
 TEST(RuntimeCluster, TcpEnsembleElectsAndReplicates) {
   harness::RuntimeClusterConfig cfg;
   cfg.n = 3;
-  cfg.use_tcp = true;
   harness::RuntimeCluster c(cfg);
   ASSERT_TRUE(c.start().is_ok());
   const NodeId l = c.wait_for_leader(seconds(20));
@@ -609,7 +575,6 @@ TEST(RuntimeCluster, TcpSnapSyncOfATreeOverTheLinkCap) {
   // cap, queued together with the sync PROPOSEs and NEWLEADER behind it.
   harness::RuntimeClusterConfig cfg;
   cfg.n = 3;
-  cfg.use_tcp = true;
   cfg.with_client_service = true;
   constexpr int kBlobs = 14;  // 1 MiB each
   cfg.node.snapshot_every = kBlobs + 1;  // with the client's session txn
@@ -772,6 +737,124 @@ TEST(RuntimeCluster, GroupCommitEnsembleReplicatesAndRestarts) {
     }));
     c.stop();
   }
+  (void)storage::remove_dir_recursive(dir);
+}
+
+/// Create `prefix`0 .. `prefix`(n-1) through node `at`; true once every
+/// create has committed.
+bool create_all(harness::RuntimeCluster& c, NodeId at,
+                const std::string& prefix, int n) {
+  auto ok = std::make_shared<std::atomic<int>>(0);
+  for (int i = 0; i < n; ++i) {
+    c.with_tree(at, [&, ok, i](pb::ReplicatedTree& t) {
+      t.create(prefix + std::to_string(i), to_bytes("v"),
+               [ok](const pb::OpResult& r) {
+                 if (r.status.is_ok()) ++*ok;
+               });
+    });
+  }
+  return eventually([&] { return ok->load() == n; }, 20000ms);
+}
+
+/// Every znode `prefix`0 .. `prefix`(n-1) exists on node `id`.
+bool has_all(harness::RuntimeCluster& c, NodeId id, const std::string& prefix,
+             int n) {
+  bool all = true;
+  c.with_tree(id, [&](pb::ReplicatedTree& t) {
+    for (int i = 0; i < n; ++i) {
+      all = all && t.exists(prefix + std::to_string(i));
+    }
+  });
+  return all;
+}
+
+harness::RuntimeClusterConfig durable_cluster(const std::string& dir) {
+  (void)storage::remove_dir_recursive(dir);
+  harness::RuntimeClusterConfig cfg;
+  cfg.n = 3;
+  cfg.storage_dir = dir;
+  cfg.fsync = true;
+  cfg.group_commit = true;
+  return cfg;
+}
+
+TEST(RuntimeCluster, FailedStartTearsDownWhatItBuilt) {
+  // Node 2's port is taken: start() fails after building node 1's slot,
+  // whose loop never ran, and stop() must still tear that slot down.
+  auto taken = idle_transport();
+  ASSERT_NE(taken, nullptr);
+  harness::RuntimeClusterConfig cfg;
+  cfg.base_port = static_cast<std::uint16_t>(taken->listen_port() - 2);
+  harness::RuntimeCluster c(cfg);
+  EXPECT_FALSE(c.start().is_ok());
+  c.stop();
+}
+
+TEST(RuntimeCluster, CrashedFollowerRestartsAndCatchesUp) {
+  {
+    // A voter that restarts from empty memory has forgotten what it acked.
+    harness::RuntimeCluster mem(harness::RuntimeClusterConfig{});
+    ASSERT_TRUE(mem.start().is_ok());
+    EXPECT_EQ(mem.crash(2).code(), Code::kInvalidArgument);
+    mem.stop();
+  }
+  const std::string dir = ::testing::TempDir() + "/zab_rt_crash_follower";
+  harness::RuntimeCluster c(durable_cluster(dir));
+  ASSERT_TRUE(c.start().is_ok());
+  const NodeId l = c.wait_for_leader(seconds(20));
+  ASSERT_NE(l, kNoNode);
+  const NodeId f = l == 3 ? 2 : 3;
+  ASSERT_TRUE(create_all(c, l, "/pre", 5));
+
+  // The leader and the other follower still form a quorum.
+  ASSERT_TRUE(c.crash(f).is_ok());
+  EXPECT_FALSE(c.restart(l).is_ok());  // only a crashed server restarts
+  ASSERT_TRUE(create_all(c, l, "/down", 20));
+
+  // The restarted follower reopens its log, binds a new port that the
+  // others learn, and syncs the writes it missed.
+  ASSERT_TRUE(c.restart(f).is_ok());
+  ASSERT_TRUE(eventually(
+      [&] { return c.view(f).last_delivered == c.view(l).last_delivered; },
+      20000ms));
+  EXPECT_EQ(c.view(f).role, Role::kFollowing);
+  EXPECT_TRUE(has_all(c, f, "/pre", 5));
+  EXPECT_TRUE(has_all(c, f, "/down", 20));
+  c.stop();
+  (void)storage::remove_dir_recursive(dir);
+}
+
+TEST(RuntimeCluster, CrashedLeaderRestartsAndRejoins) {
+  const std::string dir = ::testing::TempDir() + "/zab_rt_crash_leader";
+  harness::RuntimeCluster c(durable_cluster(dir));
+  ASSERT_TRUE(c.start().is_ok());
+  const NodeId old = c.wait_for_leader(seconds(20));
+  ASSERT_NE(old, kNoNode);
+  ASSERT_TRUE(create_all(c, old, "/a", 10));
+
+  // The other two elect a leader among themselves and keep committing.
+  ASSERT_TRUE(c.crash(old).is_ok());
+  const NodeId l = c.wait_for_leader(seconds(20));
+  ASSERT_NE(l, kNoNode);
+  ASSERT_NE(l, old);
+  ASSERT_TRUE(create_all(c, l, "/b", 10));
+
+  // The old leader comes back as a follower of the new epoch and catches
+  // up: every acknowledged write is on all three nodes.
+  ASSERT_TRUE(c.restart(old).is_ok());
+  ASSERT_TRUE(eventually(
+      [&] {
+        const auto v = c.view(old);
+        return v.role == Role::kFollowing &&
+               v.last_delivered == c.view(l).last_delivered;
+      },
+      20000ms));
+  EXPECT_EQ(c.wait_for_leader(), l);
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_TRUE(has_all(c, n, "/a", 10)) << "node " << n;
+    EXPECT_TRUE(has_all(c, n, "/b", 10)) << "node " << n;
+  }
+  c.stop();
   (void)storage::remove_dir_recursive(dir);
 }
 

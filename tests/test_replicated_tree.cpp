@@ -196,6 +196,31 @@ TEST(ReplicatedTree, StateSurvivesLeaderFailover) {
   EXPECT_EQ(tc.tree(l).get("/persist").value().value, to_bytes("after-crash"));
 }
 
+TEST(ReplicatedTree, WriteLostWithTheLeaderIsAnsweredRetriable) {
+  // A follower forwards a write; the leader dies before the REQUEST
+  // arrives, so no txn will ever answer it. Once the follower has left the
+  // old epoch, its callback must have run with a code the client retries
+  // on, instead of leaving the client waiting out its op timeout.
+  TreeCluster tc(3);
+  const NodeId l = tc.c().wait_for_leader();
+  ASSERT_NE(l, kNoNode);
+  const NodeId f = l == 1 ? 2 : 1;
+  bool answered = false;
+  Status status;
+  Op op;
+  op.type = pb::OpType::kCreate;
+  op.path = "/lost";
+  tc.tree(f).submit(std::move(op), [&](const OpResult& r) {
+    answered = true;
+    status = r.status;
+  });
+  tc.c().crash(l);
+  ASSERT_NE(tc.c().wait_for_leader(), kNoNode);
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(status.code(), Code::kNotReady);
+  EXPECT_FALSE(tc.tree(f).exists("/lost"));
+}
+
 TEST(ReplicatedTree, WatchFiresOnReplicatedChange) {
   TreeCluster tc(3);
   const NodeId l = tc.c().wait_for_leader();

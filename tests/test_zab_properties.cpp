@@ -487,11 +487,10 @@ TEST_P(ZabReconfigSafety, ConfigSequenceAgreesAndDeliveriesStayPrefixes) {
 
 std::vector<ReconfigChaosParams> reconfig_grid() {
   std::vector<ReconfigChaosParams> out;
-  for (std::uint64_t seed = 101; seed <= 106; ++seed) {
-    out.push_back({seed, 0.0});
-  }
-  for (std::uint64_t seed = 107; seed <= 110; ++seed) {
-    out.push_back({seed, 0.005});
+  for (const double loss : {0.0, 0.005}) {
+    for (std::uint64_t seed = 101; seed <= 200; ++seed) {
+      out.push_back({seed, loss});
+    }
   }
   return out;
 }

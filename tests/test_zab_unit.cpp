@@ -534,6 +534,65 @@ TEST(ZabUnit, LeaderStepsDownWithoutQuorumContact)  {
   EXPECT_NE(f.node.role(), Role::kLeading);
 }
 
+TEST(ZabUnit, LeaderWhoseLogEndsInItsOwnRemovalCommitsThenStepsDown) {
+  // Node 1 logs, as a follower of node 4, a reconfig that removes it; node
+  // 4 dies before committing it. Its active config still lists node 1 as a
+  // voter, so node 1 stands and wins. Discovery then leads under the last
+  // config in its log, which excludes it: the history may commit under
+  // that config's quorum, and then node 1 steps down.
+  ZabConfig cfg;
+  cfg.id = 1;
+  cfg.peers = {1, 2, 3, 4};
+  ScriptedEnv env(1);
+  storage::MemStorage storage;
+  ZabNode node(cfg, env, storage);
+  std::vector<Zxid> delivered;
+  node.add_deliver_handler([&](const Txn& t) { delivered.push_back(t.zxid); });
+
+  node.start();
+  for (NodeId p : {2, 3, 4}) inject(node, p, vote_for(4));
+  ASSERT_EQ(node.role(), Role::kFollowing);
+  inject(node, 4, NewEpochMsg{1});
+  inject(node, 4, NewLeaderMsg{1, Zxid::zero()});
+  inject(node, 4, UpToDateMsg{1, Zxid::zero()});
+  ASSERT_EQ(node.phase(), Phase::kBroadcast);
+  ClusterConfig without_1;
+  without_1.voters = {2, 3, 4};
+  without_1.version = 1;
+  without_1.config_zxid = Zxid{1, 2};
+  const Bytes removal = encode_reconfig_txn({without_1, 4, 1});
+  inject(node, 4,
+         ProposeBatchMsg{
+             1, {Txn{Zxid{1, 1}, to_bytes("a")}, Txn{Zxid{1, 2}, removal}}});
+  ASSERT_EQ(node.last_logged(), (Zxid{1, 2}));
+  ASSERT_TRUE(node.cluster_config().is_voter(1));  // not committed yet
+
+  // Node 4 goes silent; nodes 2 and 3, whose logs end at <1,1>, elect 1.
+  env.advance(cfg.follower_timeout + cfg.heartbeat_interval * 2);
+  ASSERT_EQ(node.role(), Role::kLooking);
+  const auto votes = env.drain_of<VoteMsg>();
+  ASSERT_FALSE(votes.empty());
+  const ElectionEpoch round = votes.back().second.round;
+  for (NodeId p : {2, 3}) inject(node, p, vote_for(1, Zxid{1, 2}, 1, round));
+  env.advance(cfg.election_finalize);
+  ASSERT_EQ(node.role(), Role::kLeading);
+  EXPECT_FALSE(node.cluster_config().is_voter(1));  // discovery rescanned
+
+  for (NodeId p : {2, 3}) inject(node, p, CEpochMsg{1, 1, Zxid{1, 1}});
+  for (NodeId p : {2, 3}) inject(node, p, AckEpochMsg{1, Zxid{1, 1}});
+  inject(node, 2, AckNewLeaderMsg{2});
+  // Its own ack is not a voter's: node 2 alone is no quorum of {2, 3, 4}.
+  EXPECT_FALSE(node.is_active_leader());
+  inject(node, 3, AckNewLeaderMsg{2});
+  ASSERT_TRUE(node.is_active_leader());
+  EXPECT_EQ(delivered, (std::vector<Zxid>{Zxid{1, 1}, Zxid{1, 2}}));
+
+  // The history, its own removal included, has committed: it hands off.
+  env.advance(0);
+  EXPECT_NE(node.role(), Role::kLeading);
+  EXPECT_FALSE(node.is_active_leader());
+}
+
 TEST(ZabUnit, LeaderServicesLateJoinerDuringBroadcast) {
   Fixture f(3);
   f.make_leader_of_epoch1();
