@@ -20,14 +20,15 @@
 //   zab_cli --servers ...            reconfig remove <id>
 //                                      (membership changes commit through the
 //                                      broadcast pipeline; see PROTOCOL.md §16)
-//   zab_cli --servers ...            mntr [--json]  (per-server stats dump)
-//   zab_cli --servers ...            slowlog [n]  (per-server slow-op ring,
-//                                      newest first, one span per line)
-//   zab_cli --servers ...            dump_trace <path>  (merged cluster
-//                                      trace as JSONL, one object per zxid)
+//
+// Monitoring reads each server's admin plane (--admin-servers lists the
+// servers' admin ports, NOT their client ports):
 //   zab_cli --admin-servers 9101,... admin [target]  (GET each server's
-//                                      admin plane; target defaults to
-//                                      /status — NOT the client ports)
+//                                      target, default /status; e.g.
+//                                      /metrics, "/slowlog?n=10", /readyz)
+//   zab_cli --admin-servers ...      dump_trace <path>  (merge every
+//                                      server's /tracez onto the leader's
+//                                      clock as JSONL, one object per zxid)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,14 +113,35 @@ int main(int argc, char** argv) {
   if (args.empty() || (servers.empty() && admin_servers.empty())) {
     std::fprintf(stderr,
                  "usage: %s --servers p1,p2,... "
-                 "<create|get|set|rm|ls|stat|sync|leader|config|reconfig"
-                 "|mntr|slowlog|dump_trace> [args]\n"
+                 "<create|get|set|rm|ls|stat|sync|leader|config|reconfig>"
+                 " [args]\n"
                  "       %s --admin-servers p1,p2,... admin [/metrics|/readyz"
-                 "|/status|/tracez|/slowlog]\n",
-                 argv[0], argv[0]);
+                 "|/status|/tracez|/slowlog]\n"
+                 "       %s --admin-servers p1,p2,... dump_trace <path>\n",
+                 argv[0], argv[0], argv[0]);
     return 2;
   }
 
+  if (args[0] == "dump_trace" && args.size() == 2) {
+    // Merge every server's /tracez onto the leader's clock and write the
+    // per-zxid timelines as JSONL.
+    if (admin_servers.empty()) {
+      std::fprintf(stderr, "dump_trace: need --admin-servers\n");
+      return 2;
+    }
+    std::vector<std::uint16_t> ports;
+    for (const auto& ep : admin_servers) ports.push_back(ep.port);
+    auto tc = harness::collect_traces_http(ports);
+    if (!tc.is_ok()) return fail(tc.status());
+    if (Status st = tc.value().dump_jsonl(args[1]); !st.is_ok()) {
+      return fail(st);
+    }
+    std::printf("wrote %zu events from %zu of %zu servers to %s\n",
+                tc.value().events_added(), tc.value().rings_added(),
+                ports.size(), args[1].c_str());
+    std::fputs(tc.value().hop_metrics().to_text().c_str(), stdout);
+    return 0;
+  }
   if (args[0] == "admin") {
     // Talks HTTP to the admin plane — no client protocol, no sessions.
     if (admin_servers.empty()) {
@@ -278,88 +300,6 @@ int main(int argc, char** argv) {
                  "usage: reconfig show | reconfig add <id> <host:port> "
                  "[--observer] | reconfig remove <id>\n");
     return 2;
-  }
-
-  if (cmd == "mntr") {
-    // ZooKeeper-style monitoring dump, one section per reachable server.
-    // With --json each server contributes one JSON object (one per line).
-    int rc = 0;
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      RemoteClient one(pb::ClientConfig{.servers = {servers[i]}, .op_timeout = seconds(2)});
-      if (!json) {
-        std::printf("--- %s:%u ---\n", servers[i].host.c_str(),
-                    servers[i].port);
-      }
-      auto r = one.mntr(json);
-      if (!r.is_ok()) {
-        std::fprintf(json ? stderr : stdout, "unreachable: %s\n",
-                     r.status().to_string().c_str());
-        rc = 1;
-        continue;
-      }
-      std::fputs(r.value().c_str(), stdout);
-      if (json) std::fputc('\n', stdout);
-    }
-    return rc;
-  }
-
-  if (cmd == "slowlog") {
-    // Slow-op ring of each reachable server: newest first, one request span
-    // per line with its per-stage latency decomposition. An optional count
-    // limits each server's dump to its n most recent entries.
-    const std::size_t n =
-        args.size() > 1 ? std::strtoull(args[1].c_str(), nullptr, 10) : 0;
-    int rc = 0;
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      RemoteClient one(pb::ClientConfig{.servers = {servers[i]}, .op_timeout = seconds(2)});
-      std::printf("--- %s:%u ---\n", servers[i].host.c_str(), servers[i].port);
-      auto r = one.slowlog(n);
-      if (!r.is_ok()) {
-        std::printf("unreachable: %s\n", r.status().to_string().c_str());
-        rc = 1;
-        continue;
-      }
-      if (r.value().empty()) {
-        std::printf("(empty)\n");
-      } else {
-        std::fputs(r.value().c_str(), stdout);
-      }
-    }
-    return rc;
-  }
-
-  if (cmd == "dump_trace" && args.size() == 2) {
-    // Pull every server's trace ring, use the leader's clock-offset
-    // estimates to map follower events onto the leader timeline, and write
-    // the merged per-zxid timelines as JSONL.
-    std::map<NodeId, std::int64_t> offsets;
-    std::vector<trace::TraceSnapshot> snaps;
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      RemoteClient one(pb::ClientConfig{.servers = {servers[i]}, .op_timeout = seconds(2)});
-      auto r = one.trace_snapshot();
-      if (!r.is_ok()) {
-        std::fprintf(stderr, "warning: %s:%u unreachable: %s\n",
-                     servers[i].host.c_str(), servers[i].port,
-                     r.status().to_string().c_str());
-        continue;
-      }
-      if (r.value().is_leader) offsets = r.value().clock_offsets;
-      snaps.push_back(std::move(r.value().snapshot));
-    }
-    if (snaps.empty()) return fail(Status::not_ready("no server reachable"));
-    harness::TraceCollector tc;
-    for (auto& s : snaps) {
-      std::int64_t correction = 0;
-      if (auto it = offsets.find(s.recorder); it != offsets.end()) {
-        correction = -it->second;  // offset = follower - leader
-      }
-      tc.add(s, correction);
-    }
-    if (Status st = tc.dump_jsonl(args[1]); !st.is_ok()) return fail(st);
-    std::printf("wrote %zu events from %zu nodes to %s\n", tc.events_added(),
-                snaps.size(), args[1].c_str());
-    std::fputs(tc.hop_metrics().to_text().c_str(), stdout);
-    return 0;
   }
 
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());

@@ -23,6 +23,7 @@
 #include "common/flight_recorder.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "common/op_span.h"
 #include "net/admin_server.h"
 #include "net/runtime_env.h"
 #include "net/tcp_transport.h"
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
 
   // --- Assemble the replica ------------------------------------------------
   // One registry per process, shared by transport, storage and node; the
-  // `mntr` client command dumps it (see docs/PROTOCOL.md, Observability).
+  // admin plane's /metrics serves it (see docs/PROTOCOL.md, Observability).
   MetricsRegistry metrics;
   build_info::register_server_gauges(metrics);
 
@@ -148,8 +149,7 @@ int main(int argc, char** argv) {
   auto storage = std::move(storage_res).take();
 
   net::RuntimeEnv env(id, 0x5eed + id, *transport);
-  // Group-commit durability callbacks must run on the protocol loop
-  // (ZAB_GROUP_COMMIT=1 can select the mode even without --group-commit).
+  // Group-commit durability callbacks must run on the protocol loop.
   storage->set_completion_poster(
       [&env](std::function<void()> fn) { env.post(std::move(fn)); });
 
@@ -259,11 +259,12 @@ int main(int argc, char** argv) {
   std::string final_report;
   env.run_sync([&] {
     if (node) {
-      final_report = node->mntr_report();
+      final_report = node->metrics().to_text();
+      final_report += op_p99_decomposition(node->metrics().snapshot());
       node->shutdown();
     }
   });
-  std::printf("--- final stats (mntr) ---\n%s", final_report.c_str());
+  std::printf("--- final stats ---\n%s", final_report.c_str());
   transport->shutdown();
   env.stop();
   return 0;

@@ -3,7 +3,7 @@
 // The admin plane answers "what is the node doing?" while the process is
 // healthy; the flight recorder answers it after the process is gone. Each
 // node periodically publishes a pre-serialized post-mortem bundle (one JSON
-// line: mntr snapshot, pipeline depths, trace tail — built by
+// line: node state and metrics, pipeline depths, trace tail — built by
 // ZabNode::postmortem_bundle() at watchdog cadence) into a double-buffered
 // slot. On SIGSEGV/SIGABRT/SIGBUS/SIGTERM — or an explicit dump_now() from
 // the stall watchdog — the recorder writes a crash file using only

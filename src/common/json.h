@@ -1,11 +1,11 @@
 // Minimal JSON emission helpers shared by the metrics/trace expositions and
 // the bench result writers.
 //
-// Deliberately write-only: the repo emits JSON for scripts and dashboards to
-// consume but never parses it (cross-node plumbing uses the binary codec in
-// buffer.h). Numbers are emitted with enough precision to round-trip int64,
-// and every string goes through json_escape so metric keys and user payloads
-// can never break the document.
+// Write-only: the repo emits JSON for scripts and dashboards to consume and
+// parses none of it, except the flat /tracez lines it wrote itself
+// (pb::parse_admin_trace_jsonl). Numbers are emitted with enough precision
+// to round-trip int64, and every string goes through json_escape so metric
+// keys and user payloads can never break the document.
 #pragma once
 
 #include <cstdint>

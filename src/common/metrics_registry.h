@@ -53,7 +53,7 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// The one histogram quantile scheme every exposition shares: mntr text
+/// The one histogram quantile scheme every exposition shares: to_text()
 /// emits `<key>_p50/_p90/_p99/_max`, JSON emits `p50/p90/p99/max` object
 /// keys, and the Prometheus summary emits `quantile="0.5"/"0.9"/"0.99"`
 /// labels plus a `<name>_max` gauge. Adding a quantile here updates all
@@ -76,7 +76,7 @@ struct MetricsSnapshot {
 
   void merge(const MetricsSnapshot& other);
 
-  /// mntr-style text exposition: one "key<TAB>value" line per metric, keys
+  /// Text exposition: one "key<TAB>value" line per metric, keys
   /// sorted. Histograms expand to key_count/_mean/_p50/_p90/_p99/_max rows
   /// (values in the recorded unit, i.e. nanoseconds for latency metrics).
   [[nodiscard]] std::string to_text(const std::string& prefix = "") const;

@@ -1,7 +1,5 @@
 #include "common/trace.h"
 
-#include <cstdio>
-
 namespace zab::trace {
 
 const char* stage_name(Stage s) {
@@ -19,6 +17,14 @@ const char* stage_name(Stage s) {
     case Stage::kClientReply: return "CLIENT_REPLY";
   }
   return "?";
+}
+
+std::optional<Stage> stage_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < kNumStages; ++i) {
+    const auto s = static_cast<Stage>(i);
+    if (name == stage_name(s)) return s;
+  }
+  return std::nullopt;
 }
 
 TraceRing::TraceRing(std::size_t capacity)
@@ -59,59 +65,6 @@ TraceRing::StageTimes TraceRing::stage_times(Zxid z) const {
     if (slot < 0) slot = e.t;
   }
   return st;
-}
-
-Bytes encode_trace_snapshot(const TraceSnapshot& s) {
-  BufWriter w(16 + s.events.size() * 18);
-  w.u32(s.recorder);
-  w.varint(s.events.size());
-  for (const Event& e : s.events) {
-    w.zxid(e.zxid);
-    w.u8(static_cast<std::uint8_t>(e.stage));
-    w.u32(e.node);
-    w.i64(e.t);
-    w.u32(e.epoch);
-  }
-  return std::move(w).take();
-}
-
-std::optional<TraceSnapshot> decode_trace_snapshot(
-    std::span<const std::uint8_t> wire) {
-  BufReader r(wire);
-  TraceSnapshot s;
-  s.recorder = r.u32();
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > 1u << 24) return std::nullopt;
-  s.events.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Event e;
-    e.zxid = r.zxid();
-    const std::uint8_t stage = r.u8();
-    if (stage >= kNumStages) return std::nullopt;
-    e.stage = static_cast<Stage>(stage);
-    e.node = r.u32();
-    e.t = r.i64();
-    e.epoch = r.u32();
-    s.events.push_back(e);
-  }
-  if (!r.ok() || !r.at_end()) return std::nullopt;
-  return s;
-}
-
-std::string TraceRing::to_text(std::size_t max_events) const {
-  std::string out;
-  auto evs = events();
-  const std::size_t skip =
-      evs.size() > max_events ? evs.size() - max_events : 0;
-  for (std::size_t i = skip; i < evs.size(); ++i) {
-    const Event& e = evs[i];
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\t%s\tnode=%u\tt=%lld\n",
-                  to_string(e.zxid).c_str(), stage_name(e.stage), e.node,
-                  static_cast<long long>(e.t));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace zab::trace

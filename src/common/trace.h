@@ -16,11 +16,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/buffer.h"
 #include "common/time.h"
 #include "common/types.h"
 
@@ -42,6 +40,8 @@ enum class Stage : std::uint8_t {
 inline constexpr std::size_t kNumStages = 11;
 
 [[nodiscard]] const char* stage_name(Stage s);
+/// Inverse of stage_name(); nullopt for a name it never returns.
+[[nodiscard]] std::optional<Stage> stage_from_name(std::string_view name);
 
 struct Event {
   Zxid zxid;            // zero for protocol-level (non-txn) events
@@ -109,10 +109,6 @@ class TraceRing {
   };
   [[nodiscard]] StageTimes stage_times(Zxid z) const;
 
-  /// Human-readable dump (debugging / the mntr "trace" extension):
-  /// "zxid stage node t_ns" per line, oldest-first.
-  [[nodiscard]] std::string to_text(std::size_t max_events = 256) const;
-
  private:
   std::vector<Event> ring_;
   std::size_t head_ = 0;  // next write position
@@ -121,18 +117,12 @@ class TraceRing {
   Epoch epoch_ = 0;
 };
 
-/// Binary codec for shipping one node's ring snapshot over the client
-/// protocol (the `kTrace` op): recorder id + event array. The recorder id
-/// travels explicitly because Event::node is not always the recording node
-/// (a leader's ACK event names the follower that completed the quorum).
+/// One node's ring snapshot: recorder id + event array. The recorder id is
+/// explicit because Event::node is not always the recording node (a
+/// leader's ACK event names the follower that completed the quorum).
 struct TraceSnapshot {
   NodeId recorder = kNoNode;
   std::vector<Event> events;
 };
-
-[[nodiscard]] Bytes encode_trace_snapshot(const TraceSnapshot& s);
-/// nullopt on malformed input.
-[[nodiscard]] std::optional<TraceSnapshot> decode_trace_snapshot(
-    std::span<const std::uint8_t> wire);
 
 }  // namespace zab::trace

@@ -231,12 +231,6 @@ void RuntimeCluster::with_tree(
   s.env->run_sync([&] { fn(*s.tree); });
 }
 
-std::string RuntimeCluster::mntr(NodeId id) {
-  std::string out;
-  with_node(id, [&out](ZabNode& n) { out = n.mntr_report(); });
-  return out;
-}
-
 std::string RuntimeCluster::mntr_json(NodeId id) {
   std::string out;
   with_node(id, [&out](ZabNode& n) { out = n.mntr_json(); });
@@ -245,7 +239,7 @@ std::string RuntimeCluster::mntr_json(NodeId id) {
 
 std::string RuntimeCluster::slowlog(NodeId id, std::size_t n) {
   std::string out;
-  with_node(id, [&out, n](ZabNode& node) { out = node.slowlog_jsonl(n); });
+  with_node(id, [&](ZabNode& node) { out = node.slow_log().to_jsonl(n); });
   return out;
 }
 
@@ -257,36 +251,16 @@ trace::TraceSnapshot RuntimeCluster::trace_snapshot(NodeId id) {
 }
 
 TraceCollector RuntimeCluster::collect_traces() {
-  // The leader's offset estimates map follower clocks onto its own. The
-  // estimator reports offset = follower_clock - leader_clock, so the
-  // correction applied to follower events is the negation.
+  std::vector<trace::TraceSnapshot> rings;
   std::map<NodeId, std::int64_t> offsets;
-  NodeId leader = kNoNode;
   for (auto& s : slots_) {
     if (!s) continue;
-    bool is_leader = false;
-    s->env->run_sync([&] {
-      if (s->node && s->node->is_active_leader()) {
-        is_leader = true;
-        offsets = s->node->follower_clock_offsets();
-      }
+    rings.push_back(trace_snapshot(s->id));
+    with_node(s->id, [&offsets](ZabNode& n) {
+      if (n.is_active_leader()) offsets = n.follower_clock_offsets();
     });
-    if (is_leader) {
-      leader = s->id;
-      break;
-    }
   }
-  (void)leader;
-  TraceCollector tc;
-  for (auto& s : slots_) {
-    if (!s) continue;
-    std::int64_t correction = 0;
-    if (auto it = offsets.find(s->id); it != offsets.end()) {
-      correction = -it->second;
-    }
-    tc.add(trace_snapshot(s->id), correction);
-  }
-  return tc;
+  return TraceCollector::of_rings(rings, offsets);
 }
 
 Status RuntimeCluster::dump_trace(const std::string& path) {

@@ -40,7 +40,6 @@ struct RuntimeClusterConfig {
   /// pipeline (FileStorage kGroupCommit) instead of the synchronous
   /// per-append force. The completion poster is wired to each node's loop,
   /// so durability callbacks keep running on the protocol thread.
-  /// ZAB_GROUP_COMMIT=1 in the environment has the same effect.
   bool group_commit = false;
   bool with_trees = true;
   /// Also expose each replica to external clients on an ephemeral TCP port
@@ -106,10 +105,7 @@ class RuntimeCluster {
   };
   [[nodiscard]] NodeView view(NodeId id);
 
-  /// mntr-style stats dump of one node (runs on its loop thread).
-  [[nodiscard]] std::string mntr(NodeId id);
-
-  /// JSON form of mntr (ZabNode::mntr_json, on the node's loop thread).
+  /// One node's ZabNode::mntr_json() (runs on its loop thread).
   [[nodiscard]] std::string mntr_json(NodeId id);
 
   /// One node's slow-op ring as newest-first JSONL (n = 0: all retained).

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <sstream>
 
 #include "common/json.h"
+#include "net/admin_server.h"
+#include "pb/admin_status.h"
 
 namespace zab::harness {
 
@@ -36,6 +39,17 @@ void TraceCollector::add(const trace::TraceSnapshot& snap,
   }
   events_added_ += nt.events.size();
   traces_.push_back(std::move(nt));
+}
+
+TraceCollector TraceCollector::of_rings(
+    const std::vector<trace::TraceSnapshot>& rings,
+    const std::map<NodeId, std::int64_t>& offsets) {
+  TraceCollector tc;
+  for (const trace::TraceSnapshot& ring : rings) {
+    const auto it = offsets.find(ring.recorder);
+    tc.add(ring, it == offsets.end() ? 0 : -it->second);
+  }
+  return tc;
 }
 
 std::vector<TraceCollector::ZxidTimeline> TraceCollector::merge() {
@@ -182,6 +196,42 @@ Status TraceCollector::dump_jsonl(const std::string& path) {
   }
   if (std::fclose(f) != 0) return Status::io_error("close " + path);
   return Status::ok();
+}
+
+Result<TraceCollector> collect_traces_http(
+    const std::vector<std::uint16_t>& admin_ports) {
+  std::vector<trace::TraceSnapshot> rings;
+  std::map<NodeId, std::int64_t> offsets;
+  for (const std::uint16_t port : admin_ports) {
+    auto status = net::http_get(port, "/status");
+    auto tracez = net::http_get(port, "/tracez");
+    if (!status.is_ok() || !tracez.is_ok()) continue;
+    const std::string st = net::http_body(status.value());
+    trace::TraceSnapshot ring;
+    // Every /status body opens with the node's id.
+    if (std::sscanf(st.c_str(), "{\"node\":{\"id\":%u,", &ring.recorder) !=
+        1) {
+      return Status::corruption("bad /status on port " + std::to_string(port));
+    }
+    auto events = pb::parse_admin_trace_jsonl(net::http_body(tracez.value()));
+    if (!events.is_ok()) return events.status();
+    ring.events = std::move(events).take();
+    rings.push_back(std::move(ring));
+    if (st.find("\"role\":\"LEADING\"") == std::string::npos) continue;
+    auto metrics = net::http_get(port, "/metrics");
+    if (!metrics.is_ok()) return metrics.status();
+    std::istringstream lines(net::http_body(metrics.value()));
+    for (std::string line; std::getline(lines, line);) {
+      NodeId id = kNoNode;
+      long long off = 0;
+      if (std::sscanf(line.c_str(), "zab_follower_%u_clock_offset_ns %lld",
+                      &id, &off) == 2) {
+        offsets[id] = off;
+      }
+    }
+  }
+  if (rings.empty()) return Status::not_ready("no admin server answered");
+  return TraceCollector::of_rings(rings, offsets);
 }
 
 }  // namespace zab::harness

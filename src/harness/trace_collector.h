@@ -64,7 +64,16 @@ class TraceCollector {
   /// zxid's timeline.
   void add(const trace::TraceSnapshot& snap, std::int64_t offset_ns);
 
+  /// A collector over several nodes' rings, each shifted by the negated
+  /// leader estimate in `offsets` (follower clock minus leader clock, per
+  /// recorder); a ring without one (the leader's) keeps its own clock.
+  [[nodiscard]] static TraceCollector of_rings(
+      const std::vector<trace::TraceSnapshot>& rings,
+      const std::map<NodeId, std::int64_t>& offsets);
+
   [[nodiscard]] std::size_t events_added() const { return events_added_; }
+  /// Number of rings folded in.
+  [[nodiscard]] std::size_t rings_added() const { return traces_.size(); }
 
   /// Merge everything added so far: per-zxid timelines sorted by corrected
   /// time (ties broken by stage order), with per-zxid cross-node hops
@@ -101,5 +110,14 @@ class TraceCollector {
   // value from RuntimeCluster::collect_traces().
   std::unique_ptr<MetricsRegistry> hops_ = std::make_unique<MetricsRegistry>();
 };
+
+/// The admin-plane twin of RuntimeCluster::collect_traces(): GET /status
+/// and /tracez from each admin port on 127.0.0.1 and fold every ring in
+/// under the id its /status names. The node whose /status role is LEADING
+/// supplies the clock offsets, from its /metrics gauges
+/// zab_follower_<id>_clock_offset_ns. Unreachable ports are skipped;
+/// fails when none answers or a body does not parse.
+[[nodiscard]] Result<TraceCollector> collect_traces_http(
+    const std::vector<std::uint16_t>& admin_ports);
 
 }  // namespace zab::harness

@@ -57,6 +57,17 @@ std::string query_param(const std::string& query, const char* name) {
   return {};
 }
 
+/// The snapshot field that carries `target`'s body; null for targets
+/// without one (/readyz, /healthz, unknown paths).
+std::string* body_of(AdminSnapshot& snap, const std::string& target) {
+  if (target == "/metrics") return &snap.prometheus;
+  if (target == "/status") return &snap.status_json;
+  if (target == "/tracez") return &snap.trace_jsonl;
+  if (target == "/slowlog") return &snap.slowlog_jsonl;
+  if (target == "/config") return &snap.config_json;
+  return nullptr;
+}
+
 }  // namespace
 
 HttpParse parse_http_request(std::string& buf, HttpRequest* out) {
@@ -191,7 +202,9 @@ std::string AdminServer::handle(const HttpRequest& req,
 }
 
 AdminServer::AdminServer(AdminConfig cfg, Collector collector)
-    : cfg_(std::move(cfg)), collector_(std::move(collector)) {}
+    : cfg_(std::move(cfg)), collector_(std::move(collector)) {
+  cache_.status_json = "{\"error\":\"no snapshot collected\"}";
+}
 
 AdminServer::~AdminServer() { stop(); }
 
@@ -210,7 +223,7 @@ void AdminServer::stop() {
   conns_.clear();  // FramedConn closes its socket
 }
 
-bool AdminServer::fetch(AdminSnapshot* out) {
+bool AdminServer::fetch(const std::string& target, AdminSnapshot* out) {
   // The waiter state is shared with the collector's completion through a
   // shared_ptr: a completion arriving after the timeout (or after this
   // server died) touches only the orphaned state, never `this`.
@@ -222,7 +235,7 @@ bool AdminServer::fetch(AdminSnapshot* out) {
   };
   auto p = std::make_shared<Pending>();
   if (collector_) {
-    collector_([p](AdminSnapshot s) {
+    collector_(target, [p](AdminSnapshot s) {
       std::lock_guard<std::mutex> lk(p->mu);
       p->snap = std::move(s);
       p->done = true;
@@ -233,23 +246,16 @@ bool AdminServer::fetch(AdminSnapshot* out) {
   const bool fresh =
       p->cv.wait_for(lk, std::chrono::nanoseconds(cfg_.collect_timeout),
                      [&p] { return p->done; });
-  if (fresh) {
-    std::lock_guard<std::mutex> clk(cache_mu_);
-    cache_ = p->snap;
-    have_cache_ = true;
-    *out = std::move(p->snap);
-    return true;
-  }
   std::lock_guard<std::mutex> clk(cache_mu_);
-  if (have_cache_) {
+  if (!fresh) {
     *out = cache_;
-  } else {
-    // Never collected successfully: serve a degraded skeleton so /metrics
-    // and /healthz still answer something parseable.
-    *out = AdminSnapshot{};
-    out->status_json = "{\"error\":\"no snapshot collected\"}";
+    return false;
   }
-  return false;
+  if (std::string* cached = body_of(cache_, target)) {
+    *cached = *body_of(p->snap, target);
+  }
+  *out = std::move(p->snap);
+  return true;
 }
 
 void AdminServer::serve_conn(Conn& c) {
@@ -267,12 +273,13 @@ void AdminServer::serve_conn(Conn& c) {
       break;
     case HttpParse::kOk:
       // /healthz must not touch the collector: liveness stays cheap and
-      // cannot be dragged down by a wedged node loop.
-      if (req.method == "GET" && req.target == "/healthz") {
+      // cannot be dragged down by a wedged node loop. Nor does a non-GET,
+      // which handle() refuses without reading the snapshot.
+      if (req.method != "GET" || req.target == "/healthz") {
         resp = handle(req, AdminSnapshot{}, false);
       } else {
         AdminSnapshot snap;
-        const bool fresh = fetch(&snap);
+        const bool fresh = fetch(req.target, &snap);
         resp = handle(req, snap, !fresh);
       }
       break;

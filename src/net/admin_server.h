@@ -24,12 +24,12 @@
 //                  version, activation zxid, voters, observers, addresses.
 //
 // Freshness contract: protocol state (histograms, readiness, traces) is
-// owned by the node's event loop, so every request asks a Collector to
-// produce a snapshot ON that loop and waits at most collect_timeout. When
-// the loop is wedged (the exact moment you scrape hardest), the server
-// answers anyway from the last good snapshot, marked stale — /metrics keeps
-// exporting, /readyz goes 503. The HTTP surface never blocks on the
-// protocol for longer than the collect timeout.
+// owned by the node's event loop, so every GET except /healthz asks a
+// Collector for readiness and that target's body, rendered ON that loop,
+// and waits at most collect_timeout. When the loop is wedged (the exact
+// moment you scrape hardest), the server answers anyway from the last good
+// body, marked stale — /metrics keeps exporting, /readyz goes 503. The HTTP
+// surface never blocks on the protocol for longer than the collect timeout.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,8 @@
 
 namespace zab::net {
 
-/// Point-in-time view of one node, produced on its event-loop thread.
+/// Point-in-time view of one node, produced on its event-loop thread: one
+/// collection fills readiness and the body of one target.
 struct AdminSnapshot {
   std::string prometheus;   // MetricsSnapshot::to_prometheus() output
   std::string status_json;  // complete /status body (one JSON object)
@@ -90,12 +91,13 @@ inline constexpr std::size_t kMaxAdminResponseBytes = 64u << 20;
 
 class AdminServer {
  public:
-  /// Produce a fresh snapshot and hand it to `done`. Invoked from the admin
-  /// IO thread; implementations post to the node's event loop and call
-  /// `done` from there (any thread is fine). If `done` is never called —
-  /// loop stopped, task dropped — the server times out and serves stale.
-  using Collector =
-      std::function<void(std::function<void(AdminSnapshot)> done)>;
+  /// Produce a fresh snapshot for request path `target` (readiness, and
+  /// that target's body if it has one) and hand it to `done`. Invoked from
+  /// the admin IO thread; implementations post to the node's event loop and
+  /// call `done` from there (any thread is fine). If `done` is never called
+  /// — loop stopped, task dropped — the server times out and serves stale.
+  using Collector = std::function<void(
+      const std::string& target, std::function<void(AdminSnapshot)> done)>;
 
   AdminServer(AdminConfig cfg, Collector collector);
   ~AdminServer();
@@ -127,9 +129,9 @@ class AdminServer {
   /// IO thread: read, answer at most one request, close once written.
   void on_conn(std::uint64_t id);
   void serve_conn(Conn& c);
-  /// Fresh snapshot from the collector, or the cached one. Returns true
-  /// when the result is fresh.
-  bool fetch(AdminSnapshot* out);
+  /// Fresh snapshot for `target` from the collector, or the cached one.
+  /// Returns true when the result is fresh.
+  bool fetch(const std::string& target, AdminSnapshot* out);
 
   AdminConfig cfg_;
   Collector collector_;
@@ -138,10 +140,10 @@ class AdminServer {
   std::unordered_map<std::uint64_t, Conn> conns_;  // IO thread
   std::uint64_t next_conn_ = 1;
 
+  // The last good body per endpoint, served when a collection times out.
   // IO-thread only once running; the mutex covers the pre-start window.
   std::mutex cache_mu_;
   AdminSnapshot cache_;
-  bool have_cache_ = false;
 };
 
 /// Minimal blocking HTTP/1.1 GET against 127.0.0.1:port used by tests and

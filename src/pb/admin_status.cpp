@@ -1,5 +1,8 @@
 #include "pb/admin_status.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/build_info.h"
 #include "common/json.h"
 #include "common/trace.h"
@@ -140,18 +143,63 @@ std::string admin_trace_jsonl(ZabNode& node) {
   return out;
 }
 
+Result<std::vector<trace::Event>> parse_admin_trace_jsonl(
+    std::string_view jsonl) {
+  std::vector<trace::Event> out;
+  while (!jsonl.empty()) {
+    const std::string_view line = jsonl.substr(0, jsonl.find('\n'));
+    jsonl.remove_prefix(std::min(jsonl.size(), line.size() + 1));
+    // A value runs to the next ',' or '}' (none of the values read holds
+    // either), unquoted; empty when the key is absent.
+    auto field = [&line](std::string_view key) {
+      const std::size_t at = line.find("\"" + std::string(key) + "\":");
+      if (at == std::string_view::npos) return std::string_view();
+      std::string_view v = line.substr(at + key.size() + 3);
+      v = v.substr(0, v.find_first_of(",}"));
+      if (v.size() > 1 && v.front() == '"' && v.back() == '"') {
+        v = v.substr(1, v.size() - 2);
+      }
+      return v;
+    };
+    auto num = [&field](std::string_view key, auto* dst) {
+      const std::string_view v = field(key);
+      const auto r = std::from_chars(v.data(), v.data() + v.size(), *dst);
+      return r.ec == std::errc() && r.ptr == v.data() + v.size();
+    };
+    const auto stage = trace::stage_from_name(field("stage"));
+    std::uint64_t packed = 0;
+    trace::Event e;
+    if (line.empty() || line.back() != '}' || !stage ||
+        !num("packed", &packed) || !num("epoch", &e.epoch) ||
+        !num("node", &e.node) || !num("t_ns", &e.t)) {
+      return Status::corruption("bad /tracez line: " + std::string(line));
+    }
+    e.zxid = Zxid::from_packed(packed);
+    e.stage = *stage;
+    out.push_back(e);
+  }
+  return out;
+}
+
 net::AdminSnapshot collect_admin_snapshot(ZabNode& node, ReplicatedTree* tree,
-                                          storage::ZabStorage& storage) {
+                                          storage::ZabStorage& storage,
+                                          const std::string& target) {
   build_info::refresh_uptime(node.metrics());
   net::AdminSnapshot snap;
-  snap.prometheus = node.metrics().to_prometheus();
-  snap.status_json = admin_status_json(node, tree, storage);
-  snap.trace_jsonl = admin_trace_jsonl(node);
-  snap.slowlog_jsonl = node.slowlog_jsonl();
-  snap.config_json = cluster_config_json(node.cluster_config());
   const ZabNode::Readiness r = node.readiness();
   snap.ready = r.ready;
   snap.not_ready_reason = r.reason;
+  if (target == "/metrics") {
+    snap.prometheus = node.metrics().to_prometheus();
+  } else if (target == "/status") {
+    snap.status_json = admin_status_json(node, tree, storage);
+  } else if (target == "/tracez") {
+    snap.trace_jsonl = admin_trace_jsonl(node);
+  } else if (target == "/slowlog") {
+    snap.slowlog_jsonl = node.slow_log().to_jsonl();
+  } else if (target == "/config") {
+    snap.config_json = cluster_config_json(node.cluster_config());
+  }
   return snap;
 }
 
@@ -160,9 +208,10 @@ net::AdminServer::Collector make_admin_collector(net::RuntimeEnv& env,
                                                  ReplicatedTree* tree,
                                                  storage::ZabStorage& storage) {
   return [&env, &node, tree, &storage](
+             const std::string& target,
              std::function<void(net::AdminSnapshot)> done) {
-    env.post([&node, tree, &storage, done = std::move(done)] {
-      done(collect_admin_snapshot(node, tree, storage));
+    env.post([&node, tree, &storage, target, done = std::move(done)] {
+      done(collect_admin_snapshot(node, tree, storage, target));
     });
   };
 }

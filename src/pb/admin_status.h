@@ -9,11 +9,15 @@
 //   AdminServer admin(cfg, make_admin_collector(env, node, &tree, storage));
 //
 // Every helper here must run on the node's loop thread; only
-// make_admin_collector (which posts) is thread-safe.
+// make_admin_collector (which posts) and the /tracez reader are thread-safe.
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/status.h"
+#include "common/trace.h"
 #include "net/admin_server.h"
 #include "net/runtime_env.h"
 #include "storage/zab_storage.h"
@@ -39,10 +43,18 @@ class ReplicatedTree;
 /// — /tracez?zxid=N and /tracez?epoch=E filter on them.
 [[nodiscard]] std::string admin_trace_jsonl(ZabNode& node);
 
-/// Everything the admin server serves, in one pass. Also refreshes
-/// zab.server.uptime_s so scrapes see a live value.
+/// Reader of admin_trace_jsonl()'s format (a /tracez body), for merging
+/// several nodes' rings. Corruption on any line it cannot read whole: a
+/// truncated line, a missing field, an unknown stage name. Thread-safe.
+[[nodiscard]] Result<std::vector<trace::Event>> parse_admin_trace_jsonl(
+    std::string_view jsonl);
+
+/// What the admin server needs to answer a GET of `target`: readiness, and
+/// the body of `target` alone (none for a path it does not route). Also
+/// refreshes zab.server.uptime_s so scrapes see a live value.
 [[nodiscard]] net::AdminSnapshot collect_admin_snapshot(
-    ZabNode& node, ReplicatedTree* tree, storage::ZabStorage& storage);
+    ZabNode& node, ReplicatedTree* tree, storage::ZabStorage& storage,
+    const std::string& target);
 
 /// AdminServer::Collector bound to a RuntimeEnv-driven replica: posts the
 /// collection onto the node's loop. The referenced objects must outlive the

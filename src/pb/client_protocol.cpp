@@ -113,7 +113,9 @@ Result<ClientRequest> decode_client_request(
   ClientRequest out;
   out.xid = r.u64();
   const auto kind = r.u8();
-  if (kind < 1 || kind > 13) return Status::corruption("bad request kind");
+  if (kind < 1 || kind > 13 || kind == 7 || kind == 8 || kind == 10) {
+    return Status::corruption("bad request kind");
+  }
   out.kind = static_cast<ClientOpKind>(kind);
   out.path = r.str();
   const auto n = r.varint();
@@ -207,10 +209,6 @@ Result<WatchEventMsg> decode_watch_event(std::span<const std::uint8_t> wire) {
   out.path = r.str();
   if (!r.ok() || !r.at_end()) return Status::corruption("short WatchEvent");
   return out;
-}
-
-bool is_watch_event_frame(std::span<const std::uint8_t> wire) {
-  return classify_frame(wire) == FrameType::kWatchEvent;
 }
 
 Bytes encode_connect_request(const ConnectRequest& r) {

@@ -77,17 +77,10 @@ enum class ClientOpKind : std::uint8_t {
   kGetChildren = 4,
   kStat = 5,
   kPing = 6,         // liveness + leader hint
-  kMntr = 7,         // monitoring dump: response.data carries mntr text
-                     // (request.path == "json" selects JSON exposition)
-  kTrace = 8,        // trace-ring pull: response.data carries an encoded
-                     // TraceSnapshot (common/trace.h); on the leader,
-                     // response.paths carries "id:offset_ns" clock-offset
-                     // estimates for the cross-node merge
+  // 7, 8 and 10 are retired (they carried monitoring data, which now leaves
+  // a replica only through the admin plane); decode rejects them.
   kCloseSession = 9, // graceful close: the session + its ephemerals die now
                      // instead of waiting out the expiry clock
-  kSlowLog = 10,     // slow-op ring pull: response.data carries newest-first
-                     // JSONL (one span per line); request.path optionally
-                     // carries the entry limit as decimal text
   kSync = 11,        // flush a barrier through the broadcast pipeline;
                      // response.zxid is the barrier's commit zxid — a read
                      // fenced at it observes every write committed before
@@ -185,8 +178,6 @@ struct ClientResponse {
 [[nodiscard]] Bytes encode_watch_event(const WatchEventMsg& w);
 [[nodiscard]] Result<WatchEventMsg> decode_watch_event(
     std::span<const std::uint8_t> wire);
-/// True if the frame is a watch-event push (vs. a response).
-[[nodiscard]] bool is_watch_event_frame(std::span<const std::uint8_t> wire);
 
 [[nodiscard]] Bytes encode_connect_request(const ConnectRequest& r);
 [[nodiscard]] Result<ConnectRequest> decode_connect_request(

@@ -461,46 +461,6 @@ void ClientService::execute(std::uint64_t conn_id, const ClientRequest& req,
       }
       break;
     }
-    case ClientOpKind::kMntr: {
-      // Runs on the replica loop (env->post), so reading the node's
-      // histograms here is safe. path == "json" selects JSON exposition
-      // (the path field is otherwise unused by kMntr).
-      const std::string text = req.path == "json"
-                                   ? tree_->node().mntr_json()
-                                   : tree_->node().mntr_report();
-      resp.data.assign(text.begin(), text.end());
-      resp.is_leader = tree_->node().is_active_leader();
-      break;
-    }
-    case ClientOpKind::kSlowLog: {
-      // Newest-first JSONL of this replica's slow-op ring. path carries the
-      // optional entry limit as decimal text ("" or "0" = everything).
-      const std::size_t n = req.path.empty()
-                                ? 0
-                                : std::strtoull(req.path.c_str(), nullptr, 10);
-      const std::string text = tree_->node().slowlog_jsonl(n);
-      resp.data.assign(text.begin(), text.end());
-      resp.is_leader = tree_->node().is_active_leader();
-      break;
-    }
-    case ClientOpKind::kTrace: {
-      // Ship the ring as the binary TraceSnapshot codec; a leader also
-      // attaches its per-follower clock-offset estimates ("id:offset_ns")
-      // so the puller can merge rings onto the leader timeline.
-      ZabNode& node = tree_->node();
-      trace::TraceSnapshot snap;
-      snap.recorder = node.id();
-      snap.events = node.trace().snapshot();
-      resp.data = trace::encode_trace_snapshot(snap);
-      resp.is_leader = node.is_active_leader();
-      if (resp.is_leader) {
-        for (const auto& [nid, off] : node.follower_clock_offsets()) {
-          resp.paths.push_back(std::to_string(nid) + ":" +
-                               std::to_string(off));
-        }
-      }
-      break;
-    }
     case ClientOpKind::kWrite: {
       if (req.ops.empty()) {
         resp.code = Code::kInvalidArgument;

@@ -292,6 +292,8 @@ Result<ClientResponse> RemoteClient::call(ClientRequest req) {
       continue;
     }
     if (resp.value().xid != req.xid) {
+      // xid 0: the server could not decode the request; resending won't help.
+      if (resp.value().xid == 0) return resp;
       last = Status::internal("xid mismatch");
       disconnect();
       continue;
@@ -577,26 +579,6 @@ Result<bool> RemoteClient::ping_is_leader() {
   return resp.value().is_leader;
 }
 
-Result<std::string> RemoteClient::mntr(bool json) {
-  ClientRequest req;
-  req.kind = ClientOpKind::kMntr;
-  if (json) req.path = "json";
-  auto resp = call(std::move(req));
-  if (!resp.is_ok()) return resp.status();
-  const Bytes& d = resp.value().data;
-  return std::string(d.begin(), d.end());
-}
-
-Result<std::string> RemoteClient::slowlog(std::size_t n) {
-  ClientRequest req;
-  req.kind = ClientOpKind::kSlowLog;
-  if (n != 0) req.path = std::to_string(n);
-  auto resp = call(std::move(req));
-  if (!resp.is_ok()) return resp.status();
-  const Bytes& d = resp.value().data;
-  return std::string(d.begin(), d.end());
-}
-
 Result<RemoteClient::ClusterInfo> RemoteClient::config(
     bool refresh_endpoints) {
   ClientRequest req;
@@ -683,27 +665,6 @@ Result<Zxid> RemoteClient::reconfig_remove(NodeId id) {
   const Zxid z = resp.value().zxid;
   (void)config();  // drop the departed server from our endpoint list
   return z;
-}
-
-Result<RemoteClient::TraceResult> RemoteClient::trace_snapshot() {
-  ClientRequest req;
-  req.kind = ClientOpKind::kTrace;
-  auto resp = call(std::move(req));
-  if (!resp.is_ok()) return resp.status();
-  auto snap = trace::decode_trace_snapshot(resp.value().data);
-  if (!snap) return Status::corruption("bad trace snapshot");
-  TraceResult out;
-  out.snapshot = std::move(*snap);
-  out.is_leader = resp.value().is_leader;
-  for (const std::string& s : resp.value().paths) {
-    const auto colon = s.find(':');
-    if (colon == std::string::npos) continue;
-    const auto nid = static_cast<NodeId>(
-        std::strtoul(s.substr(0, colon).c_str(), nullptr, 10));
-    out.clock_offsets[nid] =
-        std::strtoll(s.c_str() + colon + 1, nullptr, 10);
-  }
-  return out;
 }
 
 }  // namespace zab::pb

@@ -31,7 +31,6 @@
 
 #include "common/status.h"
 #include "common/time.h"
-#include "common/trace.h"
 #include "pb/client_protocol.h"
 
 namespace zab::pb {
@@ -128,13 +127,6 @@ class RemoteClient {
   /// Gracefully close the session now (ephemerals are reaped at the commit
   /// zxid); the connection stays usable session-less for reads.
   Status close_session();
-  /// Monitoring dump (ZooKeeper `mntr` style) of the contacted server:
-  /// `key<TAB>value` lines with node state and its metrics registry.
-  /// With json=true the server returns one JSON object instead.
-  Result<std::string> mntr(bool json = false);
-  /// Pull the contacted server's slow-op ring: newest-first JSONL, one span
-  /// per line (n = 0 returns everything retained).
-  Result<std::string> slowlog(std::size_t n = 0);
 
   // --- Membership (PROTOCOL.md §16) -------------------------------------------
   struct MemberInfo {
@@ -162,16 +154,6 @@ class RemoteClient {
   /// the new config's activation zxid; the endpoint list refreshes on
   /// success.
   Result<Zxid> reconfig_remove(NodeId id);
-
-  /// Pull the contacted server's trace ring. A leader also reports its
-  /// clock-offset estimate per follower (follower_clock - leader_clock, ns)
-  /// for the cross-node merge (harness/trace_collector.h).
-  struct TraceResult {
-    trace::TraceSnapshot snapshot;
-    bool is_leader = false;
-    std::map<NodeId, std::int64_t> clock_offsets;
-  };
-  Result<TraceResult> trace_snapshot();
 
   /// Raw request with endpoint rotation, transparent session reconnect, and
   /// idempotent replay (the xid is assigned once, before the first send).

@@ -27,6 +27,9 @@ std::uint64_t mono_ns() {
 constexpr std::uint32_t kEpochMagic = 0x4f50455au;  // "ZEPO"
 constexpr std::uint32_t kSnapMagic = 0x504e535au;   // "ZSNP"
 constexpr std::uint32_t kFormatVersion = 1;
+// Group commit: caps on the records and bytes one force covers.
+constexpr std::size_t kMaxBatchRecords = 512;
+constexpr std::size_t kMaxBatchBytes = 1u << 20;
 
 std::string zxid_hex(Zxid z) {
   char buf[20];
@@ -88,19 +91,6 @@ Result<std::unique_ptr<FileStorage>> FileStorage::open(
     FileStorageOptions opts) {
   if (const char* ms = std::getenv("ZAB_SLOW_FSYNC_MS")) {
     opts.slow_fsync_ns = std::strtoull(ms, nullptr, 10) * 1'000'000ull;
-  }
-  if (const char* gc = std::getenv("ZAB_GROUP_COMMIT")) {
-    opts.sync_mode = std::strtoul(gc, nullptr, 10) != 0
-                         ? FileStorageOptions::SyncMode::kGroupCommit
-                         : FileStorageOptions::SyncMode::kSync;
-  }
-  if (const char* v = std::getenv("ZAB_GROUP_COMMIT_MAX_RECORDS")) {
-    opts.max_batch_records =
-        std::max<std::size_t>(1, std::strtoull(v, nullptr, 10));
-  }
-  if (const char* v = std::getenv("ZAB_GROUP_COMMIT_MAX_BYTES")) {
-    opts.max_batch_bytes =
-        std::max<std::size_t>(1, std::strtoull(v, nullptr, 10));
   }
   ZAB_RETURN_IF_ERROR(make_dirs(opts.dir));
   std::unique_ptr<FileStorage> fs(new FileStorage(std::move(opts)));
@@ -440,8 +430,8 @@ void FileStorage::sync_loop() {
     // fd handoff stays synchronized with the owner thread.
     std::vector<QueuedWrite> batch;
     std::size_t batch_bytes = 0;
-    while (!sync_queue_.empty() && batch.size() < opts_.max_batch_records &&
-           batch_bytes < opts_.max_batch_bytes) {
+    while (!sync_queue_.empty() && batch.size() < kMaxBatchRecords &&
+           batch_bytes < kMaxBatchBytes) {
       QueuedWrite& front = sync_queue_.front();
       if (front.roll) {
         if (!batch.empty()) break;

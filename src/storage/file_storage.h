@@ -53,16 +53,10 @@ struct FileStorageOptions {
   /// Force appends to media before reporting durability. Disable only for
   /// benchmarks/examples where the OS page cache is an acceptable risk.
   bool fsync = true;
-  /// Durability pipeline (see the header comment). Env override:
-  /// ZAB_GROUP_COMMIT=1 selects kGroupCommit, =0 forces kSync.
+  /// Durability pipeline (see the header comment). One force covers at
+  /// most 512 records or 1 MiB in kGroupCommit mode.
   enum class SyncMode { kSync, kGroupCommit };
   SyncMode sync_mode = SyncMode::kSync;
-  /// Group commit: cap on records covered by one force.
-  /// Env override: ZAB_GROUP_COMMIT_MAX_RECORDS.
-  std::size_t max_batch_records = 512;
-  /// Group commit: cap on bytes covered by one force.
-  /// Env override: ZAB_GROUP_COMMIT_MAX_BYTES.
-  std::size_t max_batch_bytes = 1u << 20;
   /// Bench/test knob: when nonzero, each log force sleeps this long instead
   /// of calling fsync — a device with a fixed force latency. Lets the fsync
   /// policy bench compare force-each and group commit at identical simulated

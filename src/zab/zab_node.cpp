@@ -320,29 +320,6 @@ void ZabNode::watchdog_tick() {
   if (postmortem_sink_) postmortem_sink_(postmortem_bundle(), new_stall);
 }
 
-std::string ZabNode::mntr_report() const {
-  std::string out;
-  auto kv = [&out](const char* key, const std::string& value) {
-    out += key;
-    out += '\t';
-    out += value;
-    out += '\n';
-  };
-  kv("zab_node_id", std::to_string(cfg_.id));
-  kv("zab_role", role_name(role_));
-  kv("zab_phase", phase_name(phase_));
-  kv("zab_leader", std::to_string(leader_));
-  kv("zab_epoch", std::to_string(storage_->current_epoch()));
-  kv("zab_last_logged", to_string(last_logged_));
-  kv("zab_last_committed", to_string(commit_watermark_));
-  kv("zab_last_delivered", to_string(last_delivered_));
-  kv("zab_outstanding_proposals", std::to_string(outstanding_proposals()));
-  kv("zab_pending_appends", std::to_string(pending_appends_));
-  out += metrics_->to_text();
-  out += op_p99_decomposition(metrics_->snapshot());
-  return out;
-}
-
 std::string ZabNode::mntr_json() const {
   std::string out = "{";
   out += json::key("node");

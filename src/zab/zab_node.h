@@ -180,11 +180,8 @@ class ZabNode {
   [[nodiscard]] MetricsRegistry& metrics() const { return *metrics_; }
   [[nodiscard]] trace::TraceRing& trace() { return trace_; }
   [[nodiscard]] const trace::TraceRing& trace() const { return trace_; }
-  /// mntr-style text report: node state lines ("zab_role\tleading") followed
-  /// by the full registry exposition. Served to admin clients and dumped by
-  /// the example server; call from the node's event-loop thread.
-  [[nodiscard]] std::string mntr_report() const;
-  /// Same report as one JSON object: {"node":{...state...},"metrics":{...}}.
+  /// {"node":{...state...},"metrics":{...registry...}}, the "status" part of
+  /// the flight-recorder bundle; call from the node's event-loop thread.
   [[nodiscard]] std::string mntr_json() const;
   /// Leader only: current clock-offset estimate per follower (remote minus
   /// local, ns), for followers with at least one PING/PONG sample. Feeds the
@@ -201,7 +198,7 @@ class ZabNode {
   };
   [[nodiscard]] Readiness readiness() const;
 
-  /// One-line JSON flight-recorder bundle: mntr state + readiness + pipeline
+  /// One-line JSON flight-recorder bundle: mntr_json() + readiness + pipeline
   /// depths + the tail of the trace ring. Published to the FlightRecorder at
   /// watchdog cadence; call from the node's event-loop thread.
   [[nodiscard]] std::string postmortem_bundle() const;
@@ -236,10 +233,6 @@ class ZabNode {
   /// like the trace ring.
   [[nodiscard]] SlowLog& slow_log() { return slow_log_; }
   [[nodiscard]] const SlowLog& slow_log() const { return slow_log_; }
-  /// Newest-first JSONL of the slow log; n == 0 returns everything retained.
-  [[nodiscard]] std::string slowlog_jsonl(std::size_t n = 0) const {
-    return slow_log_.to_jsonl(n);
-  }
 
  private:
   // --- Common helpers (zab_node.cpp) ---

@@ -10,6 +10,8 @@
 //   - MetricsSnapshot::to_prometheus + the shared quantile scheme
 //     round-tripping across text/JSON/Prometheus expositions
 //   - AdminServer over real sockets, with a live and a wedged collector
+//   - collect_admin_snapshot renders only the requested target; the
+//     /tracez reader reads back what /tracez writes
 //   - RuntimeCluster integration: scrape all nodes, /readyz flips 503->200
 //     across a partition, /tracez after a committed write, SIGTERM leaves
 //     a parseable post-mortem bundle on disk
@@ -35,7 +37,9 @@
 #include "common/flight_recorder.h"
 #include "common/metrics_registry.h"
 #include "harness/runtime_cluster.h"
+#include "harness/sim_cluster.h"
 #include "net/admin_server.h"
+#include "pb/admin_status.h"
 #include "pb/replicated_tree.h"
 
 namespace zab {
@@ -411,7 +415,7 @@ TEST(PrometheusExposition, FormatAndSanitization) {
 }
 
 TEST(PrometheusExposition, QuantilesRoundTripAcrossExpositions) {
-  // One histogram, three expositions: the mntr text keys (_p50/_p90/_p99),
+  // One histogram, three expositions: the to_text() keys (_p50/_p90/_p99),
   // the JSON object keys (p50/p90/p99), and the Prometheus quantile labels
   // must all report the same value for the same quantile.
   MetricsRegistry reg;
@@ -446,7 +450,8 @@ TEST(PrometheusExposition, QuantilesRoundTripAcrossExpositions) {
 
 TEST(AdminServer, ServesSnapshotsOverHttp) {
   net::AdminConfig cfg;
-  net::AdminServer srv(cfg, [](std::function<void(net::AdminSnapshot)> done) {
+  net::AdminServer srv(cfg, [](const std::string&,
+                               std::function<void(net::AdminSnapshot)> done) {
     done(canned_snapshot());
   });
   ASSERT_TRUE(srv.start().is_ok());
@@ -479,7 +484,8 @@ TEST(AdminServer, WedgedCollectorServesStaleCacheAndFailsReadiness) {
   net::AdminConfig cfg;
   cfg.collect_timeout = millis(50);
   net::AdminServer srv(cfg,
-                       [&](std::function<void(net::AdminSnapshot)> done) {
+                       [&](const std::string&,
+                           std::function<void(net::AdminSnapshot)> done) {
                          if (calls.fetch_add(1) == 0) done(canned_snapshot());
                          // else: never call done — simulate a wedged loop.
                        });
@@ -500,6 +506,85 @@ TEST(AdminServer, WedgedCollectorServesStaleCacheAndFailsReadiness) {
   EXPECT_NE(r.value().find("HTTP/1.1 503"), std::string::npos);
   EXPECT_NE(r.value().find("stale"), std::string::npos);
   srv.stop();
+}
+
+// --- Per-target collection and the /tracez reader ----------------------------
+
+TEST(AdminCollect, RendersOnlyTheRequestedTarget) {
+  harness::ClusterConfig cfg;
+  cfg.n = 3;
+  harness::SimCluster c(cfg);
+  const NodeId l = c.wait_for_leader();
+  ASSERT_NE(l, kNoNode);
+  ASSERT_TRUE(c.replicate_ops(20).is_ok());
+  ZabNode& node = c.node(l);
+  auto collect = [&](const std::string& target) {
+    return pb::collect_admin_snapshot(node, nullptr, c.storage(l), target);
+  };
+  auto bodies = [](const net::AdminSnapshot& s) {
+    return s.prometheus.size() + s.status_json.size() + s.trace_jsonl.size() +
+           s.slowlog_jsonl.size() + s.config_json.size();
+  };
+
+  // Readiness alone: no trace JSONL, no Prometheus text, no body at all.
+  for (const char* target : {"/readyz", "/nope"}) {
+    const net::AdminSnapshot s = collect(target);
+    EXPECT_EQ(s.ready, node.readiness().ready) << target;
+    EXPECT_EQ(bodies(s), 0u) << target;
+  }
+  const net::AdminSnapshot m = collect("/metrics");
+  EXPECT_NE(m.prometheus.find("zab_leader_commits 20\n"), std::string::npos);
+  EXPECT_EQ(bodies(m), m.prometheus.size());
+
+  // /tracez carries every ring event, and the reader gets each one back.
+  const net::AdminSnapshot t = collect("/tracez");
+  EXPECT_EQ(bodies(t), t.trace_jsonl.size());
+  const std::vector<trace::Event> ring = node.trace().snapshot();
+  ASSERT_GT(ring.size(), 20u);
+  auto read = pb::parse_admin_trace_jsonl(t.trace_jsonl);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  ASSERT_EQ(read.value().size(), ring.size());
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const trace::Event& e = read.value()[i];
+    EXPECT_EQ(e.zxid, ring[i].zxid) << i;
+    EXPECT_EQ(e.stage, ring[i].stage) << i;
+    EXPECT_EQ(e.node, ring[i].node) << i;
+    EXPECT_EQ(e.t, ring[i].t) << i;
+    EXPECT_EQ(e.epoch, ring[i].epoch) << i;
+  }
+}
+
+TEST(AdminTraceReader, RejectsTruncatedLinesAndUnknownStages) {
+  const std::string line =
+      R"({"zxid":"<2,9>","packed":8589934601,"epoch":2,"stage":"COMMIT",)"
+      R"("node":3,"t_ns":-5})";
+  auto ok = pb::parse_admin_trace_jsonl(line + "\n" + line);
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  ASSERT_EQ(ok.value().size(), 2u);
+  const trace::Event& e = ok.value()[0];
+  EXPECT_EQ(e.zxid, (Zxid{2, 9}));
+  EXPECT_EQ(e.stage, trace::Stage::kCommit);
+  EXPECT_EQ(e.node, 3u);
+  EXPECT_EQ(e.t, -5);
+  EXPECT_EQ(e.epoch, 2u);
+  EXPECT_TRUE(pb::parse_admin_trace_jsonl("").is_ok());
+
+  for (std::size_t len = 1; len < line.size(); ++len) {
+    EXPECT_FALSE(pb::parse_admin_trace_jsonl(line.substr(0, len)).is_ok())
+        << "len " << len;
+  }
+  auto with = [&line](const std::string& from, const std::string& to) {
+    std::string out = line;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  for (const std::string& bad :
+       {with("COMMIT", "COMMITTED"), with("COMMIT", "?"),
+        with("\"node\":3,", ""), with("-5", "x5"), with("-5", "")}) {
+    EXPECT_FALSE(pb::parse_admin_trace_jsonl(bad).is_ok()) << bad;
+  }
+  EXPECT_EQ(trace::stage_from_name("DELIVER"), trace::Stage::kDeliver);
+  EXPECT_FALSE(trace::stage_from_name("deliver").has_value());
 }
 
 // --- RuntimeCluster integration ----------------------------------------------

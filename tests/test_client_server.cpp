@@ -251,6 +251,48 @@ TEST(ClientServer, GarbageFrameDoesNotCrashServer) {
   f.cluster.stop();
 }
 
+TEST(ClientServer, RetiredOpKindsAreRefusedAndTheConnectionServes) {
+  // Kinds 7, 8 and 10 once carried monitoring data over the client wire;
+  // they are retired, so a server refuses them and keeps the connection.
+  ClientServerFixture f;
+  ASSERT_TRUE(f.up());
+  const NodeId n = 1;
+  RemoteClient writer(ClientConfig{.servers = {{"127.0.0.1", f.cluster.client_port(n)}}});
+  ASSERT_TRUE(writer.create("/kept", to_bytes("v")).is_ok());
+
+  RawConn raw(f.cluster.client_port(n));
+  ASSERT_GE(raw.fd, 0);
+  ASSERT_NE(raw.handshake(10000), 0u);
+  for (const int kind : {7, 8, 10}) {
+    ClientRequest retired;
+    retired.kind = static_cast<ClientOpKind>(kind);
+    retired.xid = 100 + kind;
+    ASSERT_TRUE(raw.send(RawConn::frame(encode_client_request(retired))));
+    Bytes payload;
+    ASSERT_TRUE(raw.recv_frame(&payload)) << "kind " << kind;
+    auto resp = decode_client_response(payload);
+    ASSERT_TRUE(resp.is_ok());
+    EXPECT_EQ(resp.value().code, Code::kInvalidArgument) << "kind " << kind;
+
+    ASSERT_TRUE(raw.send(pipelined_gets("/kept", 1, ReadConsistency::kSession,
+                                        writer.last_seen_zxid())));
+    ASSERT_TRUE(raw.recv_frame(&payload)) << "get after kind " << kind;
+    auto got = decode_client_response(payload);
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(got.value().code, Code::kOk) << "get after kind " << kind;
+    EXPECT_TRUE(got.value().data == to_bytes("v"));
+  }
+
+  // RemoteClient hands the refusal back instead of resending the request.
+  ClientRequest retired;
+  retired.kind = static_cast<ClientOpKind>(7);
+  auto r = writer.call(retired);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value().code, Code::kInvalidArgument);
+  EXPECT_EQ(writer.stats().replays, 0u);
+  f.cluster.stop();
+}
+
 TEST(ClientServer, SlowConsumerIsDisconnectedAtTheCapSessionSurvives) {
   // A raw client pipelines getData of a 1 KiB znode and never reads its
   // answers. Once its kernel buffers and kClientOutCap of queued answers

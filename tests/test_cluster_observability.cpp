@@ -7,14 +7,18 @@
 //   - ZabNode leader behaviour over ScriptedEnv (deterministic time):
 //     PING/PONG offset estimation, health gauges, commit-stall watchdog
 //   - RuntimeCluster integration: lag/quorum gauges react to a muted
-//     follower and recover after resync; dump_trace emits merged JSONL
+//     follower and recover after resync; dump_trace emits merged JSONL;
+//     the admin-plane merge (collect_traces_http) matches collect_traces
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -414,7 +418,7 @@ TEST(ClusterObservability, MntrJsonAndMergedTraceDump) {
   }
   ASSERT_TRUE(eventually([&] { return done.load() == 20; }));
 
-  // Leader mntr --json surface: node state + per-follower lag gauges (the
+  // Leader's mntr_json: node state + per-follower lag gauges (the
   // gauges appear on the first heartbeat tick, hence the poll).
   ASSERT_TRUE(eventually([&] {
     return c.mntr_json(l).find(".lag_zxids\":") != std::string::npos;
@@ -453,6 +457,88 @@ TEST(ClusterObservability, MntrJsonAndMergedTraceDump) {
   }
   EXPECT_GE(lines, txn_timelines);
   std::remove(path.c_str());
+  c.stop();
+}
+
+TEST(ClusterObservability, HttpTraceMergeMatchesInProcessMerge) {
+  // collect_traces_http() reads what zab_cli dump_trace reads: each node's
+  // /status and /tracez, and the leader's offset gauges from /metrics. On
+  // a quiesced cluster it must rebuild collect_traces()'s merge: the same
+  // zxids, events and hop names, with times that differ only through the
+  // offset estimates (one constant shift per recorder).
+  harness::RuntimeClusterConfig cfg;
+  cfg.n = 3;
+  cfg.with_admin = true;
+  harness::RuntimeCluster c(cfg);
+  ASSERT_TRUE(c.start().is_ok());
+  const NodeId l = c.wait_for_leader();
+  ASSERT_NE(l, kNoNode);
+
+  std::atomic<int> done{0};
+  for (int i = 0; i < 50; ++i) {
+    c.with_tree(l, [&, i](pb::ReplicatedTree& tree) {
+      tree.create("/http" + std::to_string(i), to_bytes("x"),
+                  [&](const pb::OpResult& r) {
+                    if (r.status.is_ok()) ++done;
+                  });
+    });
+  }
+  ASSERT_TRUE(eventually([&] { return done.load() == 50; }));
+  ASSERT_TRUE(eventually([&] {
+    const Zxid last = c.view(l).last_delivered;
+    const MetricsSnapshot m = c.metrics_snapshot(l);
+    for (NodeId id = 1; id <= 3; ++id) {
+      if (c.view(id).last_delivered != last) return false;
+      const std::string gauge =
+          "zab.follower." + std::to_string(id) + ".clock_offset_ns";
+      if (id != l && m.gauges.count(gauge) == 0) return false;
+    }
+    return true;
+  })) << "cluster never quiesced with offsets for both followers";
+
+  std::vector<std::uint16_t> ports;
+  for (NodeId id = 1; id <= 3; ++id) ports.push_back(c.admin_port(id));
+  auto http = harness::collect_traces_http(ports);
+  ASSERT_TRUE(http.is_ok()) << http.status().to_string();
+  harness::TraceCollector local = c.collect_traces();
+  EXPECT_EQ(http.value().rings_added(), 3u);
+  EXPECT_EQ(http.value().events_added(), local.events_added());
+
+  const auto a = http.value().merge();
+  const auto b = local.merge();
+  ASSERT_EQ(a.size(), b.size());
+  using Ev = harness::TraceCollector::MergedEvent;
+  auto order = [](const Ev& x, const Ev& y) {
+    return std::tie(x.recorder, x.stage, x.subject, x.t) <
+           std::tie(y.recorder, y.stage, y.subject, y.t);
+  };
+  auto hop_names = [](const harness::TraceCollector::ZxidTimeline& tl) {
+    std::multiset<std::string> out;
+    for (const auto& h : tl.hops) out.insert(h.name);
+    return out;
+  };
+  std::map<NodeId, std::int64_t> shift;  // recorder -> HTTP t - local t
+  std::size_t txns_with_hops = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].zxid, b[i].zxid);
+    auto ea = a[i].events;
+    auto eb = b[i].events;
+    std::sort(ea.begin(), ea.end(), order);
+    std::sort(eb.begin(), eb.end(), order);
+    ASSERT_EQ(ea.size(), eb.size()) << to_string(a[i].zxid);
+    for (std::size_t j = 0; j < ea.size(); ++j) {
+      EXPECT_EQ(ea[j].recorder, eb[j].recorder);
+      EXPECT_EQ(ea[j].stage, eb[j].stage);
+      EXPECT_EQ(ea[j].subject, eb[j].subject);
+      const std::int64_t d = ea[j].t - eb[j].t;
+      EXPECT_EQ(shift.emplace(ea[j].recorder, d).first->second, d)
+          << "recorder " << ea[j].recorder << " zxid " << to_string(a[i].zxid);
+    }
+    EXPECT_EQ(hop_names(a[i]), hop_names(b[i])) << to_string(a[i].zxid);
+    if (a[i].zxid != Zxid::zero() && !a[i].hops.empty()) ++txns_with_hops;
+  }
+  EXPECT_EQ(shift[l], 0);
+  EXPECT_GE(txns_with_hops, 50u);
   c.stop();
 }
 

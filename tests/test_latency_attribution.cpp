@@ -228,11 +228,10 @@ TEST(LatencyAttribution, SimSpansHaveMonotoneStageStamps) {
   EXPECT_GE(reg.histogram("zab.op.stage.commit").count(), kOps);
   EXPECT_GE(reg.histogram("zab.op.stage.deliver").count(), kOps);
 
-  // The p99 decomposition table renders, and mntr carries it.
+  // The p99 decomposition table renders.
   const std::string table = op_p99_decomposition(reg.snapshot());
   EXPECT_NE(table.find("quorum_ack"), std::string::npos) << table;
   EXPECT_NE(table.find("stage_sum"), std::string::npos) << table;
-  EXPECT_NE(c.node(l).mntr_report().find("stage_sum"), std::string::npos);
 }
 
 TEST(LatencyAttribution, InjectedSlowFsyncDominatesSlowLogEntry) {
@@ -306,26 +305,22 @@ TEST(LatencyAttribution, ClientWriteLandsInSlowlogSurfaces) {
   EXPECT_EQ(newest.find("\"reply_ns\":-1"), std::string::npos) << newest;
   EXPECT_EQ(newest.find("\"recv_ns\":-1"), std::string::npos) << newest;
 
-  // Client-protocol surface, with an entry cap.
-  auto via_client = client.slowlog(1);
-  ASSERT_TRUE(via_client.is_ok());
-  EXPECT_EQ(std::count(via_client.value().begin(), via_client.value().end(),
-                       '\n'),
-            1);
-  EXPECT_NE(via_client.value().find("\"total_ns\""), std::string::npos);
-
-  // Admin-plane surface.
+  // Admin-plane surface, with an entry cap.
   auto via_admin = cluster.admin_get(l, "/slowlog?n=1");
   ASSERT_TRUE(via_admin.is_ok());
   const std::string body = net::http_body(via_admin.value());
+  EXPECT_EQ(std::count(body.begin(), body.end(), '\n'), 1) << body;
+  EXPECT_NE(body.find("\"total_ns\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"stages\""), std::string::npos) << body;
 
-  // mntr on the leader now carries the decomposition table with the
-  // client-side stages populated.
-  const std::string report = cluster.mntr(l);
-  EXPECT_NE(report.find("queue_wait"), std::string::npos);
-  EXPECT_NE(report.find("reply_write"), std::string::npos);
-  EXPECT_NE(report.find("zab.slowlog.count"), std::string::npos);
+  // The leader's decomposition table has the client-side stages populated,
+  // and its registry counts the slow-log admissions.
+  const MetricsSnapshot snap = cluster.metrics_snapshot(l);
+  const std::string table = op_p99_decomposition(snap);
+  EXPECT_NE(table.find("queue_wait"), std::string::npos) << table;
+  EXPECT_NE(table.find("reply_write"), std::string::npos) << table;
+  ASSERT_EQ(snap.gauges.count("zab.slowlog.count"), 1u);
+  EXPECT_GE(snap.gauges.at("zab.slowlog.count"), 1);
   cluster.stop();
 }
 

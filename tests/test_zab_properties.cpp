@@ -107,6 +107,13 @@ std::vector<ChaosParams> chaos_grid() {
   for (std::uint64_t seed = 71; seed <= 76; ++seed) {
     out.push_back({seed, 7, 0.002});
   }
+  // The wide grid cycles through the five (n, loss) bands above.
+  constexpr std::pair<std::size_t, double> kBands[] = {
+      {3, 0.0}, {5, 0.0}, {3, 0.005}, {5, 0.01}, {7, 0.002}};
+  for (std::uint64_t seed = 77; seed <= 500; ++seed) {
+    const auto& [n, loss] = kBands[seed % 5];
+    out.push_back({seed, n, loss});
+  }
   return out;
 }
 
