@@ -40,9 +40,19 @@ constexpr const char* kTextPlain = "text/plain; charset=utf-8";
 /// The version Prometheus' scraper negotiates for the text format.
 constexpr const char* kPromText = "text/plain; version=0.0.4; charset=utf-8";
 
-/// Value of `name` in an application/x-www-form-urlencoded-ish query
-/// ("a=1&b=2"); empty when absent. No %-decoding — admin values are
-/// decimal numbers.
+/// The snapshot field that carries `target`'s body; null for targets
+/// without one (/readyz, /healthz, unknown paths).
+std::string* body_of(AdminSnapshot& snap, const std::string& target) {
+  if (target == "/metrics") return &snap.prometheus;
+  if (target == "/status") return &snap.status_json;
+  if (target == "/tracez") return &snap.trace_jsonl;
+  if (target == "/slowlog") return &snap.slowlog_jsonl;
+  if (target == "/config") return &snap.config_json;
+  return nullptr;
+}
+
+}  // namespace
+
 std::string query_param(const std::string& query, const char* name) {
   const std::string needle = std::string(name) + '=';
   std::size_t pos = 0;
@@ -56,19 +66,6 @@ std::string query_param(const std::string& query, const char* name) {
   }
   return {};
 }
-
-/// The snapshot field that carries `target`'s body; null for targets
-/// without one (/readyz, /healthz, unknown paths).
-std::string* body_of(AdminSnapshot& snap, const std::string& target) {
-  if (target == "/metrics") return &snap.prometheus;
-  if (target == "/status") return &snap.status_json;
-  if (target == "/tracez") return &snap.trace_jsonl;
-  if (target == "/slowlog") return &snap.slowlog_jsonl;
-  if (target == "/config") return &snap.config_json;
-  return nullptr;
-}
-
-}  // namespace
 
 HttpParse parse_http_request(std::string& buf, HttpRequest* out) {
   const std::size_t end = buf.find("\r\n\r\n");
@@ -155,13 +152,12 @@ std::string AdminServer::handle(const HttpRequest& req,
   if (req.target == "/tracez") {
     const std::string want_zxid = query_param(req.query, "zxid");
     const std::string want_epoch = query_param(req.query, "epoch");
-    if (want_zxid.empty() && want_epoch.empty()) {
+    if (!stale || (want_zxid.empty() && want_epoch.empty())) {
       return response(200, "OK", "application/x-ndjson", snap.trace_jsonl);
     }
-    // Filter by packed zxid or by recorder epoch: collectors emit
-    // `"packed":N,` and `"epoch":E,` on every line. The epoch filter scopes
-    // the timeline to one election/leadership (zxid 0 aliases across epochs;
-    // the per-event epoch tag disambiguates them).
+    // A stale answer is the cached whole ring: filter it by packed zxid or
+    // by recorder epoch here. Collectors emit `"packed":N,` and `"epoch":E,`
+    // on every line.
     const std::string needle = !want_zxid.empty()
                                    ? "\"packed\":" + want_zxid + ','
                                    : "\"epoch\":" + want_epoch + ',';
@@ -215,7 +211,7 @@ Status AdminServer::start() {
         auto on_event = [this, id](std::uint32_t) { on_conn(id); };
         if (!conns_[id].conn.attach(fd, reactor_, on_event)) conns_.erase(id);
       }));
-  return reactor_.start();
+  return reactor_.start("zab-admin");
 }
 
 void AdminServer::stop() {
@@ -223,7 +219,7 @@ void AdminServer::stop() {
   conns_.clear();  // FramedConn closes its socket
 }
 
-bool AdminServer::fetch(const std::string& target, AdminSnapshot* out) {
+bool AdminServer::fetch(const HttpRequest& req, AdminSnapshot* out) {
   // The waiter state is shared with the collector's completion through a
   // shared_ptr: a completion arriving after the timeout (or after this
   // server died) touches only the orphaned state, never `this`.
@@ -235,7 +231,7 @@ bool AdminServer::fetch(const std::string& target, AdminSnapshot* out) {
   };
   auto p = std::make_shared<Pending>();
   if (collector_) {
-    collector_(target, [p](AdminSnapshot s) {
+    collector_(req, [p](AdminSnapshot s) {
       std::lock_guard<std::mutex> lk(p->mu);
       p->snap = std::move(s);
       p->done = true;
@@ -251,8 +247,11 @@ bool AdminServer::fetch(const std::string& target, AdminSnapshot* out) {
     *out = cache_;
     return false;
   }
-  if (std::string* cached = body_of(cache_, target)) {
-    *cached = *body_of(p->snap, target);
+  // A filtered /tracez body is never cached: a later stale answer filters
+  // the cached whole ring for its own query instead.
+  std::string* cached = body_of(cache_, req.target);
+  if (cached && (req.target != "/tracez" || req.query.empty())) {
+    *cached = *body_of(p->snap, req.target);
   }
   *out = std::move(p->snap);
   return true;
@@ -279,7 +278,7 @@ void AdminServer::serve_conn(Conn& c) {
         resp = handle(req, AdminSnapshot{}, false);
       } else {
         AdminSnapshot snap;
-        const bool fresh = fetch(req.target, &snap);
+        const bool fresh = fetch(req, &snap);
         resp = handle(req, snap, !fresh);
       }
       break;

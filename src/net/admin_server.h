@@ -84,6 +84,12 @@ enum class HttpParse {
 /// supported — the admin plane is GET-only and rejects anything with one.
 HttpParse parse_http_request(std::string& buf, HttpRequest* out);
 
+/// Value of `name` in an application/x-www-form-urlencoded-ish query
+/// ("a=1&b=2"); empty when absent. No %-decoding — admin values are
+/// decimal numbers.
+[[nodiscard]] std::string query_param(const std::string& query,
+                                      const char* name);
+
 /// Header cap for parse_http_request (request line + headers).
 inline constexpr std::size_t kMaxAdminRequestBytes = 8192;
 /// Largest response the admin plane writes (a full /tracez dump).
@@ -91,13 +97,14 @@ inline constexpr std::size_t kMaxAdminResponseBytes = 64u << 20;
 
 class AdminServer {
  public:
-  /// Produce a fresh snapshot for request path `target` (readiness, and
-  /// that target's body if it has one) and hand it to `done`. Invoked from
-  /// the admin IO thread; implementations post to the node's event loop and
-  /// call `done` from there (any thread is fine). If `done` is never called
-  /// — loop stopped, task dropped — the server times out and serves stale.
+  /// Produce a fresh snapshot for `req` (readiness, and the body of its
+  /// target if it has one, filtered by its query where the target filters)
+  /// and hand it to `done`. Invoked from the admin IO thread;
+  /// implementations post to the node's event loop and call `done` from
+  /// there (any thread is fine). If `done` is never called — loop stopped,
+  /// task dropped — the server times out and serves stale.
   using Collector = std::function<void(
-      const std::string& target, std::function<void(AdminSnapshot)> done)>;
+      const HttpRequest& req, std::function<void(AdminSnapshot)> done)>;
 
   AdminServer(AdminConfig cfg, Collector collector);
   ~AdminServer();
@@ -114,7 +121,8 @@ class AdminServer {
 
   /// Pure request -> full HTTP response mapping (status line through body).
   /// Static so unit tests cover routing without sockets; `stale` marks
-  /// `snap` as a cached copy whose collect timed out.
+  /// `snap` as a cached copy whose collect timed out. A fresh /tracez body
+  /// arrives filtered; a stale one is the cached whole ring, filtered here.
   [[nodiscard]] static std::string handle(const HttpRequest& req,
                                           const AdminSnapshot& snap,
                                           bool stale);
@@ -129,9 +137,9 @@ class AdminServer {
   /// IO thread: read, answer at most one request, close once written.
   void on_conn(std::uint64_t id);
   void serve_conn(Conn& c);
-  /// Fresh snapshot for `target` from the collector, or the cached one.
+  /// Fresh snapshot for `req` from the collector, or the cached one.
   /// Returns true when the result is fresh.
-  bool fetch(const std::string& target, AdminSnapshot* out);
+  bool fetch(const HttpRequest& req, AdminSnapshot* out);
 
   AdminConfig cfg_;
   Collector collector_;
@@ -140,7 +148,8 @@ class AdminServer {
   std::unordered_map<std::uint64_t, Conn> conns_;  // IO thread
   std::uint64_t next_conn_ = 1;
 
-  // The last good body per endpoint, served when a collection times out.
+  // The last good body per endpoint, served when a collection times out
+  // (for /tracez, the last unfiltered one).
   // IO-thread only once running; the mutex covers the pre-start window.
   std::mutex cache_mu_;
   AdminSnapshot cache_;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -81,10 +82,11 @@ Status Reactor::listen_tcp(const std::string& host, std::uint16_t port,
   return Status::ok();
 }
 
-Status Reactor::start() {
+Status Reactor::start(const std::string& name) {
   if (epoll_fd_ < 0 || event_fd_ < 0) return Status::io_error("epoll/eventfd");
   running_ = true;
   thread_ = std::thread([this] { loop(); });
+  if (!name.empty()) pthread_setname_np(thread_.native_handle(), name.c_str());
   return Status::ok();
 }
 

@@ -52,7 +52,8 @@ class Reactor {
   [[nodiscard]] Status listen_tcp(const std::string& host, std::uint16_t port,
                                   std::uint16_t* bound_port,
                                   std::function<void(int fd)> on_accept);
-  [[nodiscard]] Status start();
+  /// Start the IO thread, named `name` (at most 15 characters) if given.
+  [[nodiscard]] Status start(const std::string& name = {});
   /// Stop and join the IO thread (not from a handler) and close the
   /// listening sockets. Safe to call twice.
   void stop();

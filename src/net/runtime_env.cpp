@@ -1,5 +1,7 @@
 #include "net/runtime_env.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <future>
 #include <vector>
@@ -18,6 +20,8 @@ void RuntimeEnv::start(std::function<void()> init) {
     if (init) tasks_.push_back(std::move(init));
   }
   thread_ = std::thread([this] { loop(); });
+  pthread_setname_np(thread_.native_handle(),
+                     ("zab-loop-" + std::to_string(id_)).c_str());
 }
 
 void RuntimeEnv::post(std::function<void()> fn) {

@@ -50,7 +50,7 @@ Status TcpTransport::init() {
         }
       }));
   running_ = true;
-  return reactor_.start();
+  return reactor_.start("zab-net-" + std::to_string(cfg_.id));
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }

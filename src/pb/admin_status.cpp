@@ -126,9 +126,19 @@ std::string admin_status_json(ZabNode& node, ReplicatedTree* tree,
   return out;
 }
 
-std::string admin_trace_jsonl(ZabNode& node) {
+std::string admin_trace_jsonl(ZabNode& node, const std::string& query) {
+  const std::string zxid = net::query_param(query, "zxid");
+  const std::string want =
+      zxid.empty() ? net::query_param(query, "epoch") : zxid;
+  std::uint64_t v = 0;
+  const auto r = std::from_chars(want.data(), want.data() + want.size(), v);
+  const bool bad = r.ec != std::errc() || r.ptr != want.data() + want.size();
   std::string out;
   for (const trace::Event& e : node.trace().snapshot()) {
+    if (!want.empty() &&
+        (bad || (zxid.empty() ? e.epoch : e.zxid.packed()) != v)) {
+      continue;
+    }
     out += '{';
     out += json::key("zxid") + json::str(to_string(e.zxid)) + ',';
     // Keep "packed" and "epoch" non-terminal: /tracez matches the
@@ -183,7 +193,8 @@ Result<std::vector<trace::Event>> parse_admin_trace_jsonl(
 
 net::AdminSnapshot collect_admin_snapshot(ZabNode& node, ReplicatedTree* tree,
                                           storage::ZabStorage& storage,
-                                          const std::string& target) {
+                                          const std::string& target,
+                                          const std::string& query) {
   build_info::refresh_uptime(node.metrics());
   net::AdminSnapshot snap;
   const ZabNode::Readiness r = node.readiness();
@@ -194,7 +205,7 @@ net::AdminSnapshot collect_admin_snapshot(ZabNode& node, ReplicatedTree* tree,
   } else if (target == "/status") {
     snap.status_json = admin_status_json(node, tree, storage);
   } else if (target == "/tracez") {
-    snap.trace_jsonl = admin_trace_jsonl(node);
+    snap.trace_jsonl = admin_trace_jsonl(node, query);
   } else if (target == "/slowlog") {
     snap.slowlog_jsonl = node.slow_log().to_jsonl();
   } else if (target == "/config") {
@@ -208,10 +219,10 @@ net::AdminServer::Collector make_admin_collector(net::RuntimeEnv& env,
                                                  ReplicatedTree* tree,
                                                  storage::ZabStorage& storage) {
   return [&env, &node, tree, &storage](
-             const std::string& target,
+             const net::HttpRequest& req,
              std::function<void(net::AdminSnapshot)> done) {
-    env.post([&node, tree, &storage, target, done = std::move(done)] {
-      done(collect_admin_snapshot(node, tree, storage, target));
+    env.post([&node, tree, &storage, req, done = std::move(done)] {
+      done(collect_admin_snapshot(node, tree, storage, req.target, req.query));
     });
   };
 }

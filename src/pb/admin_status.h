@@ -39,9 +39,11 @@ class ReplicatedTree;
 [[nodiscard]] std::string cluster_config_json(const ClusterConfig& c);
 
 /// Trace ring as JSONL, one event per line, oldest first. Each line carries
-/// the packed zxid as `"packed":N,` and the recorder's epoch as `"epoch":E,`
-/// — /tracez?zxid=N and /tracez?epoch=E filter on them.
-[[nodiscard]] std::string admin_trace_jsonl(ZabNode& node);
+/// the packed zxid as `"packed":N,` and the recorder's epoch as `"epoch":E,`.
+/// A `query` of zxid=N or epoch=E renders only that packed zxid's or that
+/// epoch's events (zxid wins; a value that is not a number matches none).
+[[nodiscard]] std::string admin_trace_jsonl(ZabNode& node,
+                                            const std::string& query = {});
 
 /// Reader of admin_trace_jsonl()'s format (a /tracez body), for merging
 /// several nodes' rings. Corruption on any line it cannot read whole: a
@@ -50,11 +52,12 @@ class ReplicatedTree;
     std::string_view jsonl);
 
 /// What the admin server needs to answer a GET of `target`: readiness, and
-/// the body of `target` alone (none for a path it does not route). Also
-/// refreshes zab.server.uptime_s so scrapes see a live value.
+/// the body of `target` alone (none for a path it does not route), /tracez
+/// filtered by `query`. Also refreshes zab.server.uptime_s so scrapes see a
+/// live value.
 [[nodiscard]] net::AdminSnapshot collect_admin_snapshot(
     ZabNode& node, ReplicatedTree* tree, storage::ZabStorage& storage,
-    const std::string& target);
+    const std::string& target, const std::string& query = {});
 
 /// AdminServer::Collector bound to a RuntimeEnv-driven replica: posts the
 /// collection onto the node's loop. The referenced objects must outlive the

@@ -12,6 +12,7 @@ ClientService::ClientService(net::RuntimeEnv& env, ReplicatedTree& tree)
     : env_(&env), tree_(&tree), reactor_([this] { drain_out(); }) {
   auto& m = tree.node().metrics();
   c_reconnects_ = &m.counter("pb.client.reconnects");
+  c_rejected_frames_ = &m.counter("zab.client.rejected_frames");
   c_reads_local_ = &m.counter("zab.read.served_local");
   c_reads_fenced_ = &m.counter("zab.read.fenced");
   c_reads_not_ready_ = &m.counter("zab.read.not_ready");
@@ -40,7 +41,7 @@ Status ClientService::start(const std::string& host, std::uint16_t port) {
     if (!conns_[id].conn.attach(fd, reactor_, on_event)) conns_.erase(id);
   }));
   running_ = true;
-  return reactor_.start();
+  return reactor_.start("zab-cli-" + std::to_string(tree_->node().id()));
 }
 
 void ClientService::stop() {
@@ -420,9 +421,16 @@ void ClientService::dispatch(std::uint64_t conn_id, Bytes frame) {
           return;
         }
         // Undecodable — includes retired v1 frames. Ship the decode error's
-        // message in `data` so old clients see why, not just a code.
-        ZAB_WARN() << "rejecting client frame: "
-                   << req.status().to_string();
+        // message in `data` so old clients see why, not just a code. One
+        // client can send any number of them: count each, warn once a second.
+        c_rejected_frames_->add();
+        ++rejected_since_warn_;
+        if (const TimePoint now = env_->now(); now - last_reject_warn_ >= kSecond) {
+          ZAB_WARN() << "rejecting client frame: " << req.status().to_string()
+                     << " (" << rejected_since_warn_ << " since the last warning)";
+          last_reject_warn_ = now;
+          rejected_since_warn_ = 0;
+        }
         ClientResponse resp;
         resp.code = Code::kInvalidArgument;
         const std::string msg = req.status().to_string();
@@ -431,6 +439,7 @@ void ClientService::dispatch(std::uint64_t conn_id, Bytes frame) {
         return;
       }
     }
+    c_rejected_frames_->add();  // an undecodable connect or ping
     ClientResponse resp;
     resp.code = Code::kInvalidArgument;
     respond(conn_id, resp);

@@ -143,6 +143,10 @@ class ClientService {
   // Replica-loop local: which session each connection authenticated as.
   std::unordered_map<std::uint64_t, std::uint64_t> conn_session_;
   AtomicCounter* c_reconnects_ = nullptr;  // handshakes that re-attached
+  // Undecodable frames: all counted, at most one WARN per second.
+  AtomicCounter* c_rejected_frames_ = nullptr;
+  std::uint64_t rejected_since_warn_ = 0;
+  TimePoint last_reject_warn_ = -kSecond;
 
   // Replica-loop local: reads parked until the delivered watermark reaches
   // their fence, keyed by packed fence zxid (woken in fence order from the

@@ -1,10 +1,12 @@
 #include "storage/file_storage.h"
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -27,9 +29,13 @@ std::uint64_t mono_ns() {
 constexpr std::uint32_t kEpochMagic = 0x4f50455au;  // "ZEPO"
 constexpr std::uint32_t kSnapMagic = 0x504e535au;   // "ZSNP"
 constexpr std::uint32_t kFormatVersion = 1;
-// Group commit: caps on the records and bytes one force covers.
+// Caps on the records and bytes one force covers.
 constexpr std::size_t kMaxBatchRecords = 512;
 constexpr std::size_t kMaxBatchBytes = 1u << 20;
+// Segment preparation writes zeros from one page, at most 16 of them (64
+// KiB) per step: a record queued meanwhile waits for at most one step.
+constexpr std::uint8_t kZeroPage[4096] = {};
+constexpr std::size_t kPrepareChunkPages = 16;
 
 std::string zxid_hex(Zxid z) {
   char buf[20];
@@ -38,42 +44,17 @@ std::string zxid_hex(Zxid z) {
   return buf;
 }
 
-Status write_all(int fd, std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+/// Write all of `data` at offset `off`, resuming after partial writes.
+Status pwrite_all(int fd, std::span<const std::uint8_t> data, std::uint64_t off) {
+  while (!data.empty()) {
+    const ssize_t n =
+        ::pwrite(fd, data.data(), data.size(), static_cast<off_t>(off));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::io_error(std::string("write: ") + std::strerror(errno));
     }
-    off += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
-}
-
-/// Vectored write of the whole iovec array, resuming after partial writes.
-/// Mutates `iov` in place (the consumed prefix is advanced).
-Status writev_all(int fd, std::vector<::iovec>& iov) {
-  std::size_t idx = 0;
-  while (idx < iov.size()) {
-    const auto cnt =
-        static_cast<int>(std::min<std::size_t>(iov.size() - idx, 512));
-    const ssize_t n = ::writev(fd, iov.data() + idx, cnt);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::io_error(std::string("writev: ") + std::strerror(errno));
-    }
-    auto rem = static_cast<std::size_t>(n);
-    while (rem > 0 && idx < iov.size()) {
-      if (rem >= iov[idx].iov_len) {
-        rem -= iov[idx].iov_len;
-        ++idx;
-      } else {
-        iov[idx].iov_base = static_cast<std::uint8_t*>(iov[idx].iov_base) + rem;
-        iov[idx].iov_len -= rem;
-        rem = 0;
-      }
-    }
+    data = data.subspan(static_cast<std::size_t>(n));
+    off += static_cast<std::uint64_t>(n);
   }
   return Status::ok();
 }
@@ -104,6 +85,7 @@ FileStorage::~FileStorage() { quiesce(/*dispatch=*/false); }
 // --- Recovery ----------------------------------------------------------------
 
 Status FileStorage::recover() {
+  (void)remove_file(prep_path());  // a half-prepared segment is worthless
   ZAB_RETURN_IF_ERROR(load_epoch_file());
   ZAB_RETURN_IF_ERROR(load_latest_snapshot());
 
@@ -132,14 +114,14 @@ Status FileStorage::recover() {
     return true;
   });
 
-  // Reopen the last segment for appending.
-  if (!segments_.empty()) {
-    active_fd_ = Fd(::open(segments_.back().path.c_str(),
-                           O_WRONLY | O_APPEND | O_CLOEXEC));
-    if (!active_fd_.valid()) {
-      return Status::io_error("reopen active segment " + segments_.back().path);
-    }
-  }
+  return segments_.empty() ? Status::ok() : reopen_active(segments_.back());
+}
+
+Status FileStorage::reopen_active(const Segment& seg) {
+  active_fd_ = Fd(::open(seg.path.c_str(), O_WRONLY | O_CLOEXEC));
+  if (!active_fd_.valid()) return Status::io_error("reopen " + seg.path);
+  write_off_ = seg.bytes;
+  sync_path_ = seg.path;
   return Status::ok();
 }
 
@@ -166,14 +148,23 @@ Status FileStorage::recover_segment(Segment& seg, bool is_last) {
     valid_bytes = pos;
   }
 
-  if (valid_bytes != data.size()) {
+  // Zeros to the end: the unused tail of a prepared segment, where appends
+  // continue (unless the segment is full and the next append rolls).
+  const bool zero_tail = std::all_of(data.begin() + valid_bytes, data.end(),
+                                     [](std::uint8_t b) { return b == 0; });
+  if (valid_bytes != data.size() &&
+      (!zero_tail || !is_last || valid_bytes >= opts_.segment_bytes)) {
     if (!is_last) {
       return Status::corruption("corrupt record in non-final segment " +
                                 seg.path);
     }
     // Torn write at the tail of the newest segment: expected after a crash.
-    ZAB_WARN() << "truncating torn tail of " << seg.path << " at "
-               << valid_bytes << "/" << data.size();
+    // Truncating drops any zero tail too, so no stale bytes lie past the
+    // next appends.
+    if (!zero_tail) {
+      ZAB_WARN() << "truncating torn tail of " << seg.path << " at "
+                 << valid_bytes << "/" << data.size();
+    }
     ZAB_RETURN_IF_ERROR(truncate_file(seg.path, valid_bytes));
   }
   seg.bytes = valid_bytes;
@@ -290,8 +281,8 @@ Status FileStorage::force_fd(int fd, std::uint64_t* took_ns) {
   if (opts_.simulated_force_ns != 0) {
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(opts_.simulated_force_ns));
-  } else if (::fsync(fd) != 0) {
-    return Status::io_error("fsync segment");
+  } else if (::fdatasync(fd) != 0) {
+    return Status::io_error("fdatasync segment");
   }
   if (c_fsyncs_) c_fsyncs_->add();
   if (took_ns) *took_ns = mono_ns() - t0;
@@ -309,101 +300,44 @@ void FileStorage::note_slow_fsync(std::uint64_t t0, std::uint64_t took,
   }
 }
 
-Status FileStorage::start_segment(Zxid start) {
-  Segment seg;
-  seg.start = start;
-  seg.path = segment_path(start);
-  active_fd_ = Fd(::open(seg.path.c_str(),
-                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  if (!active_fd_.valid()) {
-    return Status::io_error("create segment " + seg.path);
-  }
-  segments_.push_back(std::move(seg));
-  return Status::ok();
-}
-
-Status FileStorage::write_record(const Txn& txn) {
-  scratch_.clear();
-  encode_record(scratch_, txn);
-  ZAB_RETURN_IF_ERROR(write_all(active_fd_.get(), scratch_.data()));
-  if (opts_.fsync) {
-    const std::uint64_t t0 = mono_ns();
-    std::uint64_t took = 0;
-    ZAB_RETURN_IF_ERROR(force_fd(active_fd_.get(), &took));
-    if (h_fsync_ns_) h_fsync_ns_->record(took);
-    note_slow_fsync(t0, took, segments_.back().path);
-  }
-  segments_.back().bytes += scratch_.size();
-  if (c_append_bytes_) c_append_bytes_->add(scratch_.size());
-  return Status::ok();
-}
-
 void FileStorage::append(const Txn& txn, std::function<void()> on_durable) {
   const std::uint64_t t0 = h_append_ns_ ? mono_ns() : 0;
-  if (!group_commit()) {
-    Status st;
-    if (segments_.empty() || segments_.back().bytes >= opts_.segment_bytes) {
-      st = start_segment(txn.zxid);
-    }
-    if (st.is_ok()) st = write_record(txn);
-    if (st.is_ok()) {
-      segments_.back().entries.push_back(txn);
-      last_io_status_ = Status::ok();
-      if (c_append_ops_) c_append_ops_->add();
-      if (h_append_ns_) h_append_ns_->record(mono_ns() - t0);
-      if (on_durable) on_durable();
-    } else {
-      // The durability callback never fires; the caller's ACK is withheld,
-      // which is the correct protocol-level response to a dead disk.
-      last_io_status_ = st;
-      ZAB_ERROR() << "append failed: " << st.to_string();
-    }
-    return;
-  }
-
-  // Group commit: encode once into an owned buffer, update the in-memory
-  // mirror immediately (the pending tail is visible to last_zxid/entries_in),
-  // and queue the record for the log-sync thread. Durability is reported
-  // later, through the completion queue, in append order.
-  BufWriter rec(txn.data.size() + 32);
-  encode_record(rec, txn);
-  const std::size_t rec_bytes = rec.size();
-
+  // The mirror takes the txn at once (the pending tail is visible to
+  // last_zxid/entries_in), and the record is encoded once, into the queue.
   const bool roll =
       segments_.empty() || segments_.back().bytes >= opts_.segment_bytes;
-  if (roll) {
-    Segment seg;
-    seg.start = txn.zxid;
-    seg.path = segment_path(txn.zxid);
-    segments_.push_back(std::move(seg));
-  }
+  if (roll) segments_.push_back({txn.zxid, segment_path(txn.zxid), 0, {}});
   Segment& seg = segments_.back();
   seg.entries.push_back(txn);
+  std::unique_lock<std::mutex> lk(queue_mu_);
+  const std::size_t rec_start = queued_.size();
+  encode_record(queued_, txn);
+  const std::size_t rec_bytes = queued_.size() - rec_start;
+  QueuedWrite& q = sync_queue_.emplace_back();
+  q.end = queued_.size();
+  if (roll) q.roll_path = seg.path;
+  const std::size_t depth = sync_queue_.size();
+  if (group_commit()) {
+    // Durability is reported later, through the completion queue.
+    q.cb = std::move(on_durable);
+    lk.unlock();
+    queue_cv_.notify_one();
+  } else {
+    drain(lk);
+    // After an IO error the callback never fires; the caller's ACK is
+    // withheld, which is the correct protocol-level response to a dead disk.
+    if (!io_status_.is_ok()) on_durable = nullptr;
+    lk.unlock();
+  }
   seg.bytes += rec_bytes;
   if (c_append_ops_) c_append_ops_->add();
   if (c_append_bytes_) c_append_bytes_->add(rec_bytes);
-
-  std::size_t depth = 0;
-  {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    if (roll) {
-      QueuedWrite rw;
-      rw.roll = true;
-      rw.path = seg.path;
-      sync_queue_.push_back(std::move(rw));
-    }
-    QueuedWrite qw;
-    qw.record = std::move(rec).take();
-    qw.cb = std::move(on_durable);
-    sync_queue_.push_back(std::move(qw));
-    depth = sync_queue_.size();
-  }
-  queue_cv_.notify_one();
   if (h_queue_depth_) h_queue_depth_->record(depth);
   if (h_append_ns_) h_append_ns_->record(mono_ns() - t0);
+  if (!group_commit() && on_durable) on_durable();
 }
 
-// --- Group-commit pipeline ---------------------------------------------------
+// --- The drain, and segment preparation ------------------------------------
 
 void FileStorage::set_completion_poster(CompletionPoster poster) {
   std::lock_guard<std::mutex> lk(queue_mu_);
@@ -411,109 +345,175 @@ void FileStorage::set_completion_poster(CompletionPoster poster) {
 }
 
 void FileStorage::start_sync_thread() {
-  sync_path_ = segments_.empty() ? "" : segments_.back().path;
   sync_thread_ = std::thread([this] { sync_loop(); });
+  pthread_setname_np(sync_thread_.native_handle(), "zab-log");
 }
 
 void FileStorage::sync_loop() {
   std::unique_lock<std::mutex> lk(queue_mu_);
   while (true) {
-    queue_cv_.wait(lk, [this] { return stop_sync_ || !sync_queue_.empty(); });
-    if (sync_queue_.empty()) {
-      if (stop_sync_) return;
-      continue;
+    if (!sync_queue_.empty()) {
+      drain(lk);
+    } else if (stop_sync_) {
+      return;
+    } else if (prepare_armed_ && !prepared_) {
+      // Idle: prepare the next segment, one chunk at a time, re-checking
+      // the queue and the stop flag in between.
+      lk.unlock();
+      prepare_step();
+      lk.lock();
+    } else {
+      queue_cv_.wait(lk, [this] { return stop_sync_ || !sync_queue_.empty(); });
     }
+  }
+}
 
-    // Form one batch: up to the configured caps, never across a segment
-    // roll (one covering force per fd). A roll marker at the queue head is
-    // consumed here — the new segment file is created under the lock so the
-    // fd handoff stays synchronized with the owner thread.
-    std::vector<QueuedWrite> batch;
-    std::size_t batch_bytes = 0;
-    while (!sync_queue_.empty() && batch.size() < kMaxBatchRecords &&
-           batch_bytes < kMaxBatchBytes) {
-      QueuedWrite& front = sync_queue_.front();
-      if (front.roll) {
-        if (!batch.empty()) break;
-        active_fd_ = Fd(::open(front.path.c_str(),
-                               O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                               0644));
-        if (!active_fd_.valid() && async_io_status_.is_ok()) {
-          async_io_status_ = Status::io_error("create segment " + front.path);
-          ZAB_ERROR() << "group commit: " << async_io_status_.to_string();
-        }
-        sync_path_ = front.path;
-        sync_queue_.pop_front();
-        continue;
-      }
-      batch_bytes += front.record.size();
-      batch.push_back(std::move(front));
-      sync_queue_.pop_front();
+void FileStorage::drain(std::unique_lock<std::mutex>& lk) {
+  std::swap(queued_, batch_bytes_);
+  batch_.swap(sync_queue_);
+  Status st = io_status_;
+  const CompletionPoster poster = group_commit() ? poster_ : nullptr;
+  batch_in_flight_ = true;
+  lk.unlock();
+
+  // IO happens outside the lock, so that in group commit the owner keeps
+  // appending. Each run is one write at the segment's used length and one
+  // force, and never crosses a roll.
+  std::size_t i = 0;
+  std::size_t from = 0;  // byte offset of record i in batch_bytes_
+  while (i < batch_.size()) {
+    if (!batch_[i].roll_path.empty() && st.is_ok()) {
+      st = roll_to(batch_[i].roll_path);
     }
-    if (batch.empty()) {  // only roll markers were queued
-      if (sync_queue_.empty()) drain_cv_.notify_all();
-      continue;
+    std::size_t j = i + 1;
+    while (j < batch_.size() && batch_[j].roll_path.empty() &&
+           j - i < kMaxBatchRecords && batch_[j - 1].end - from < kMaxBatchBytes) {
+      ++j;
     }
-
-    const int fd = active_fd_.get();
-    Status st = async_io_status_;
-    if (st.is_ok() && fd < 0) st = Status::io_error("no active segment");
-    const std::string seg_path = sync_path_;
-    CompletionPoster poster = poster_;
-    batch_in_flight_ = true;
-    lk.unlock();
-
-    // IO happens outside the lock: the owner thread keeps appending.
-    std::uint64_t fsync_ns = 0;
+    const std::size_t to = batch_[j - 1].end;
     if (st.is_ok()) {
-      std::vector<::iovec> iov;
-      iov.reserve(batch.size());
-      for (const QueuedWrite& q : batch) {
-        iov.push_back({const_cast<std::uint8_t*>(q.record.data()),
-                       q.record.size()});
-      }
-      st = writev_all(fd, iov);
+      st = pwrite_all(active_fd_.get(),
+                      std::span(batch_bytes_.data()).subspan(from, to - from),
+                      write_off_);
     }
+    if (st.is_ok()) write_off_ += to - from;
+    if (st.is_ok() && dir_dirty_) {
+      // The roll's directory entry must be durable before any record in the
+      // new segment is acknowledged.
+      st = fsync_dir(opts_.dir);
+      dir_dirty_ = false;
+    }
+    BatchDone done;
     if (st.is_ok() && opts_.fsync) {
       const std::uint64_t t0 = mono_ns();
-      st = force_fd(fd, &fsync_ns);
-      if (st.is_ok()) note_slow_fsync(t0, fsync_ns, seg_path);
+      st = force_fd(active_fd_.get(), &done.fsync_ns);
+      if (st.is_ok()) note_slow_fsync(t0, done.fsync_ns, sync_path_);
     }
-
-    if (st.is_ok()) {
-      BatchDone done;
-      done.records = batch.size();
-      done.fsync_ns = fsync_ns;
-      done.forced = opts_.fsync;
-      done.h_batch = h_batch_records_;
-      done.h_fsync = h_fsync_ns_;
-      for (QueuedWrite& q : batch) {
-        if (q.cb) done.cbs.push_back(std::move(q.cb));
-      }
-      {
-        std::lock_guard<std::mutex> g(completions_->mu);
-        completions_->ready.push_back(std::move(done));
-      }
-      // Hand the callbacks back to the owner's loop; without a poster the
-      // batch dispatches right here on the sync thread.
-      if (poster) {
-        auto q = completions_;
-        poster([q] { CompletionQueue::dispatch(q); });
-      } else {
-        CompletionQueue::dispatch(completions_);
-      }
-    } else {
+    if (!st.is_ok()) {
       // Callbacks withheld: the ACKs they would trigger must not be sent for
       // records that are not durable. The error is sticky and surfaces via
       // last_io_status().
-      ZAB_ERROR() << "group-commit batch failed: " << st.to_string();
+      ZAB_ERROR() << "log write failed: " << st.to_string();
+      break;
     }
-
-    lk.lock();
-    if (!st.is_ok() && async_io_status_.is_ok()) async_io_status_ = st;
-    batch_in_flight_ = false;
-    if (sync_queue_.empty()) drain_cv_.notify_all();
+    done.records = j - i;
+    done.forced = opts_.fsync;
+    done.h_batch = h_batch_records_;
+    done.h_fsync = h_fsync_ns_;
+    for (; i < j; ++i) {
+      if (batch_[i].cb) done.cbs.push_back(std::move(batch_[i].cb));
+    }
+    from = to;
+    if (!group_commit()) {
+      done.run();  // the kSync caller is the owner
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> g(completions_->mu);
+      completions_->ready.push_back(std::move(done));
+    }
+    // Hand the callbacks back to the owner's loop; without a poster the
+    // batch dispatches right here on the sync thread.
+    if (poster) {
+      auto q = completions_;
+      poster([q] { CompletionQueue::dispatch(q); });
+    } else {
+      CompletionQueue::dispatch(completions_);
+    }
   }
+  // Reuse both buffers, unless a burst made the byte buffer large.
+  if (batch_bytes_.size() > kMaxBatchBytes) batch_bytes_ = BufWriter();
+  batch_bytes_.clear();
+  batch_.clear();
+
+  lk.lock();
+  if (!st.is_ok() && io_status_.is_ok()) io_status_ = st;
+  batch_in_flight_ = false;
+  if (sync_queue_.empty()) drain_cv_.notify_all();
+}
+
+Status FileStorage::roll_to(const std::string& path) {
+  // The first roll arms preparation (read only by the log-sync thread).
+  if (active_fd_.valid() && real_forces()) prepare_armed_ = true;
+  if (prepared_ && ::rename(prep_path().c_str(), path.c_str()) == 0) {
+    active_fd_ = std::move(prep_fd_);
+    prepared_ = false;
+    prep_len_ = 0;
+  } else {
+    active_fd_ = Fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                           0644));
+    if (!active_fd_.valid()) return Status::io_error("create segment " + path);
+  }
+  write_off_ = 0;
+  sync_path_ = path;
+  dir_dirty_ = real_forces();
+  return Status::ok();
+}
+
+void FileStorage::prepare_step() {
+  const std::uint64_t t0 = mono_ns();
+  if (!prep_fd_.valid()) {
+    prep_fd_ = Fd(::open(prep_path().c_str(),
+                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  }
+  std::array<::iovec, kPrepareChunkPages> iov;
+  std::size_t left = opts_.segment_bytes - prep_len_;
+  std::size_t n = 0;
+  for (; n < iov.size() && left > 0; ++n) {
+    iov[n] = {const_cast<std::uint8_t*>(kZeroPage),
+              std::min(left, sizeof(kZeroPage))};
+    left -= iov[n].iov_len;
+  }
+  const ssize_t wrote =
+      prep_fd_.valid() ? ::pwritev(prep_fd_.get(), iov.data(), static_cast<int>(n),
+                                   static_cast<off_t>(prep_len_))
+                       : -1;
+  if (wrote > 0) {
+    // Write the step back and wait: the closing fdatasync then waits for
+    // little, and a journal commit (ext4's ordered mode first writes out
+    // every dirty block it allocated; any file's force may start one)
+    // never waits behind more than one step of zeros.
+    ::sync_file_range(prep_fd_.get(), static_cast<off_t>(prep_len_), wrote,
+                      SYNC_FILE_RANGE_WAIT_BEFORE | SYNC_FILE_RANGE_WRITE |
+                          SYNC_FILE_RANGE_WAIT_AFTER);
+    prep_len_ += static_cast<std::uint64_t>(wrote);
+  }
+  if (wrote <= 0 || (prep_len_ >= opts_.segment_bytes &&
+                     ::fdatasync(prep_fd_.get()) != 0)) {
+    // Rolls then create their segments, as without preparation.
+    ZAB_WARN() << "segment preparation failed: " << std::strerror(errno);
+    prepare_armed_ = false;
+  } else if (prep_len_ >= opts_.segment_bytes) {
+    prepared_ = true;
+    if (c_segments_prepared_) c_segments_prepared_->add();
+  }
+  if (c_prepare_ns_) c_prepare_ns_->add(mono_ns() - t0);
+}
+
+void FileStorage::BatchDone::run() {
+  if (h_batch) h_batch->record(records);
+  if (forced && h_fsync) h_fsync->record(fsync_ns);
+  for (auto& cb : cbs) cb();
 }
 
 void FileStorage::CompletionQueue::dispatch(
@@ -530,14 +530,11 @@ void FileStorage::CompletionQueue::dispatch(
       done = std::move(q->ready.front());
       q->ready.pop_front();
     }
-    if (done.h_batch) done.h_batch->record(done.records);
-    if (done.forced && done.h_fsync) done.h_fsync->record(done.fsync_ns);
-    for (auto& cb : done.cbs) cb();
+    done.run();
   }
 }
 
 void FileStorage::flush() {
-  if (!group_commit()) return;
   {
     std::unique_lock<std::mutex> lk(queue_mu_);
     drain_cv_.wait(lk, [this] {
@@ -567,11 +564,8 @@ void FileStorage::quiesce(bool dispatch) {
 }
 
 Status FileStorage::last_io_status() const {
-  if (group_commit()) {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    if (!async_io_status_.is_ok()) return async_io_status_;
-  }
-  return last_io_status_;
+  std::lock_guard<std::mutex> lk(queue_mu_);
+  return io_status_;
 }
 
 ZabStorage::StorageInfo FileStorage::info() const {
@@ -597,8 +591,7 @@ Status FileStorage::rewrite_segment(Segment& seg) {
 }
 
 Status FileStorage::truncate_after(Zxid last_keep) {
-  // Group commit: make the whole pending tail durable and dispatch its
-  // callbacks first. Canceling queued records instead would break callers
+  // Make the whole pending tail durable and dispatch its callbacks first. Canceling queued records instead would break callers
   // that count outstanding appends, and dropping already-acknowledged
   // records would lose data the truncation means to keep. After the drain
   // the sync thread is idle and the segment files are stable.
@@ -622,19 +615,8 @@ Status FileStorage::truncate_after(Zxid last_keep) {
       ZAB_RETURN_IF_ERROR(rewrite_segment(seg));
     }
   }
-  if (!segments_.empty()) {
-    active_fd_ = Fd(::open(segments_.back().path.c_str(),
-                           O_WRONLY | O_APPEND | O_CLOEXEC));
-    if (!active_fd_.valid()) return Status::io_error("reopen after truncate");
-  }
-  if (group_commit()) {
-    // The sync thread reopens from a roll marker on the next segment roll;
-    // until then it appends through the fd installed here. Publish the new
-    // active path for slow-fsync attribution.
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    sync_path_ = segments_.empty() ? "" : segments_.back().path;
-  }
-  return Status::ok();
+  // Appends continue at the used length, inside any zero tail.
+  return segments_.empty() ? Status::ok() : reopen_active(segments_.back());
 }
 
 // --- Log read path ----------------------------------------------------------------

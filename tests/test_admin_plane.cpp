@@ -374,10 +374,13 @@ TEST(AdminHandle, RoutesAndStatusCodes) {
 
   EXPECT_NE(get("/status").find(R"("role":"LEADING")"), std::string::npos);
 
-  // /tracez: unfiltered returns both lines; ?zxid= filters by packed id.
+  // /tracez: unfiltered returns both lines. A fresh body arrives filtered
+  // by the collector and passes through; a stale one is the cached whole
+  // ring, which ?zxid= filters by packed id.
   EXPECT_EQ(lines_of(net::http_body(get("/tracez"))).size(), 2u);
+  EXPECT_EQ(lines_of(net::http_body(get("/tracez?zxid=4294967298"))).size(), 2u);
   const std::string filtered =
-      net::http_body(get("/tracez?zxid=4294967298"));
+      net::http_body(get("/tracez?zxid=4294967298", /*stale=*/true));
   const auto fl = lines_of(filtered);
   ASSERT_EQ(fl.size(), 1u) << filtered;
   EXPECT_NE(fl[0].find("COMMIT"), std::string::npos);
@@ -450,7 +453,7 @@ TEST(PrometheusExposition, QuantilesRoundTripAcrossExpositions) {
 
 TEST(AdminServer, ServesSnapshotsOverHttp) {
   net::AdminConfig cfg;
-  net::AdminServer srv(cfg, [](const std::string&,
+  net::AdminServer srv(cfg, [](const net::HttpRequest&,
                                std::function<void(net::AdminSnapshot)> done) {
     done(canned_snapshot());
   });
@@ -484,7 +487,7 @@ TEST(AdminServer, WedgedCollectorServesStaleCacheAndFailsReadiness) {
   net::AdminConfig cfg;
   cfg.collect_timeout = millis(50);
   net::AdminServer srv(cfg,
-                       [&](const std::string&,
+                       [&](const net::HttpRequest&,
                            std::function<void(net::AdminSnapshot)> done) {
                          if (calls.fetch_add(1) == 0) done(canned_snapshot());
                          // else: never call done — simulate a wedged loop.
@@ -552,6 +555,43 @@ TEST(AdminCollect, RendersOnlyTheRequestedTarget) {
     EXPECT_EQ(e.t, ring[i].t) << i;
     EXPECT_EQ(e.epoch, ring[i].epoch) << i;
   }
+}
+
+TEST(AdminCollect, FilteredTraceRendersOnlyTheMatchingEvents) {
+  // A full ring: a ?zxid= (or ?epoch=) collection renders exactly the lines
+  // of an unfiltered one that match, and an unknown zxid renders nothing.
+  harness::ClusterConfig cfg;
+  cfg.n = 3;
+  harness::SimCluster c(cfg);
+  const NodeId l = c.wait_for_leader();
+  ASSERT_NE(l, kNoNode);
+  ZabNode& node = c.node(l);
+  while (node.trace().snapshot().size() < node.trace().capacity()) {
+    ASSERT_TRUE(c.replicate_ops(200).is_ok());
+  }
+  auto trace_of = [&](const std::string& query) {
+    return pb::collect_admin_snapshot(node, nullptr, c.storage(l), "/tracez", query)
+        .trace_jsonl;
+  };
+  const std::vector<std::string> all = lines_of(trace_of(""));
+  ASSERT_EQ(all.size(), node.trace().capacity());
+  const Zxid z = node.trace().snapshot().back().zxid;
+  ASSERT_NE(z, Zxid::zero());
+  for (const std::string& needle :
+       {"\"packed\":" + std::to_string(z.packed()) + ",",
+        "\"epoch\":" + std::to_string(node.epoch()) + ","}) {
+    std::vector<std::string> want;
+    for (const std::string& line : all) {
+      if (line.find(needle) != std::string::npos) want.push_back(line);
+    }
+    const std::string query = needle[1] == 'p'
+                                  ? "zxid=" + std::to_string(z.packed())
+                                  : "epoch=" + std::to_string(node.epoch());
+    ASSERT_FALSE(want.empty()) << query;
+    EXPECT_EQ(lines_of(trace_of(query)), want) << query;
+  }
+  EXPECT_EQ(trace_of("zxid=" + std::to_string(Zxid{999, 1}.packed())), "");
+  EXPECT_EQ(trace_of("zxid=junk"), "");
 }
 
 TEST(AdminTraceReader, RejectsTruncatedLinesAndUnknownStages) {

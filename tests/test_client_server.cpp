@@ -293,6 +293,50 @@ TEST(ClientServer, RetiredOpKindsAreRefusedAndTheConnectionServes) {
   f.cluster.stop();
 }
 
+TEST(ClientServer, RejectedFramesAreCountedAndTheWarningIsRateLimited) {
+  // One client pipelines 1,000 frames of a retired kind: each one is
+  // refused and counted, but the server's log gets a WARN at most once a
+  // second, not once per frame.
+  ClientServerFixture f;
+  ASSERT_TRUE(f.up());
+  const NodeId n = 1;
+  // A write through the replica first: it serves sessions once it is synced.
+  RemoteClient writer(ClientConfig{.servers = {{"127.0.0.1", f.cluster.client_port(n)}}});
+  ASSERT_TRUE(writer.create("/ready", to_bytes("v")).is_ok());
+  RawConn raw(f.cluster.client_port(n));
+  ASSERT_GE(raw.fd, 0);
+  ASSERT_NE(raw.handshake(10000), 0u);
+  constexpr int kFrames = 1000;
+  Bytes flood;
+  for (int i = 1; i <= kFrames; ++i) {
+    ClientRequest retired;
+    retired.kind = static_cast<ClientOpKind>(7);
+    retired.xid = static_cast<std::uint64_t>(i);
+    const Bytes fr = RawConn::frame(encode_client_request(retired));
+    flood.insert(flood.end(), fr.begin(), fr.end());
+  }
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(raw.send(flood));
+  int refused = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    Bytes payload;
+    if (!raw.recv_frame(&payload)) break;
+    auto resp = decode_client_response(payload);
+    if (resp.is_ok() && resp.value().code == Code::kInvalidArgument) ++refused;
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(refused, kFrames);
+  EXPECT_EQ(f.cluster.metrics_snapshot(n).counters.at("zab.client.rejected_frames"),
+            static_cast<std::uint64_t>(kFrames));
+  int warnings = 0;
+  for (std::size_t at = err.find("rejecting client frame"); at != std::string::npos;
+       at = err.find("rejecting client frame", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_LE(warnings, 2) << err.substr(0, 2000);
+  f.cluster.stop();
+}
+
 TEST(ClientServer, SlowConsumerIsDisconnectedAtTheCapSessionSurvives) {
   // A raw client pipelines getData of a 1 KiB znode and never reads its
   // answers. Once its kernel buffers and kClientOutCap of queued answers

@@ -12,7 +12,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "harness/runtime_cluster.h"
@@ -776,6 +778,36 @@ harness::RuntimeClusterConfig durable_cluster(const std::string& dir) {
   cfg.fsync = true;
   cfg.group_commit = true;
   return cfg;
+}
+
+TEST(RuntimeCluster, RuntimeThreadsAreNamed) {
+  // Every thread a replica runs carries its name: one loop, one peer
+  // reactor and one client reactor per node, plus one admin reactor and one
+  // log-sync thread per node, which do not know their node id.
+  const std::string dir = ::testing::TempDir() + "/zab_rt_names";
+  (void)storage::remove_dir_recursive(dir);
+  harness::RuntimeClusterConfig cfg;
+  cfg.n = 3;
+  cfg.storage_dir = dir;
+  cfg.fsync = true;
+  cfg.group_commit = true;
+  cfg.with_admin = true;
+  cfg.with_client_service = true;
+  harness::RuntimeCluster c(cfg);
+  ASSERT_TRUE(c.start().is_ok());
+  std::map<std::string, int> names;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) ++names[name];
+  }
+  std::map<std::string, int> want{{"zab-admin", 3}, {"zab-log", 3}};
+  for (const char* owner : {"zab-loop-", "zab-net-", "zab-cli-"}) {
+    for (int id = 1; id <= 3; ++id) want[owner + std::to_string(id)] = 1;
+  }
+  for (const auto& [name, count] : want) EXPECT_EQ(names[name], count) << name;
+  c.stop();
+  (void)storage::remove_dir_recursive(dir);
 }
 
 TEST(RuntimeCluster, FailedStartTearsDownWhatItBuilt) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -471,6 +473,125 @@ TEST_F(FileStorageGroupCommitTest, SegmentRollsInsidePipeline) {
   auto fs = open(true);
   EXPECT_EQ(fs->entries_in(Zxid::zero(), Zxid::max()).size(),
             static_cast<std::size_t>(kN));
+}
+
+// ================== FileStorage segment preparation ===========================
+
+/// Newest segment file (`log.<16 hex>`) in `dir`, or "" if none.
+std::string newest_segment(const std::string& dir) {
+  std::string newest;
+  const auto names = list_dir(dir);
+  for (const auto& nm : names.value()) {
+    if (nm.rfind("log.", 0) == 0 && nm.size() == 20 && nm > newest) newest = nm;
+  }
+  return newest.empty() ? "" : dir + "/" + newest;
+}
+
+/// Wait until `c` reads at least `want` (a log-sync thread is working).
+bool wait_for(const AtomicCounter& c, std::uint64_t want) {
+  for (int i = 0; i < 4000 && c.value() < want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return c.value() >= want;
+}
+
+TEST_F(FileStorageGroupCommitTest, PreparationStartsAtTheFirstRollAndForcesCountBatches) {
+  MetricsRegistry reg;
+  const AtomicCounter& prepared = reg.counter("storage.segments_prepared");
+  const AtomicCounter& fsyncs = reg.counter("storage.fsyncs");
+  auto fs = open_gc(&reg, /*force_ns=*/0, /*segment_bytes=*/4096);
+  std::uint32_t c = 0;
+  // Fill the first segment: no preparation before the first roll.
+  while (fs->info().log_bytes < 4096) {
+    fs->append(txn(1, ++c, std::string(200, 'q')), nullptr);
+    fs->flush();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(prepared.value(), 0u);
+  EXPECT_EQ(reg.counter("storage.prepare_ns").value(), 0u);
+  EXPECT_FALSE(file_exists(dir_ + "/log.prep"));
+  // Roll three times; each roll after the first takes a prepared segment.
+  for (std::size_t segs = 1; segs < 4; ++c) {
+    fs->append(txn(1, c + 1, std::string(200, 'q')), nullptr);
+    fs->flush();
+    if (fs->info().segments > segs) {
+      segs = fs->info().segments;
+      ASSERT_TRUE(wait_for(prepared, segs - 1));
+    }
+  }
+  EXPECT_GT(reg.counter("storage.prepare_ns").value(), 0u);
+  // Log forces only: one per forced batch, none for preparation.
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(fsyncs.value(), snap.histograms.at("storage.sync_batch_records").count());
+  EXPECT_EQ(fsyncs.value(), snap.histograms.at("storage.fsync_ns").count());
+  // The newest segment is a prepared one: full length, zero tail.
+  struct stat st {};
+  ASSERT_EQ(::stat(newest_segment(dir_).c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 4096);
+  fs.reset();
+  auto re = open(true, 4096);
+  EXPECT_EQ(re->entries_in(Zxid::zero(), Zxid::max()).size(), c);
+}
+
+TEST_F(FileStorageGroupCommitTest, ZeroTailSurvivesRecoveryAndTakesTheNextAppend) {
+  MetricsRegistry reg;
+  std::uint32_t c = 0;
+  {
+    auto fs = open_gc(&reg, /*force_ns=*/0, /*segment_bytes=*/4096);
+    while (fs->info().segments < 2) {
+      fs->append(txn(1, ++c, std::string(300, 'z')), nullptr);
+      fs->flush();
+    }
+    ASSERT_TRUE(wait_for(reg.counter("storage.segments_prepared"), 1));
+    while (fs->info().segments < 3) {
+      fs->append(txn(1, ++c, std::string(300, 'z')), nullptr);
+      fs->flush();
+    }
+  }
+  const std::string seg = newest_segment(dir_);
+  const Bytes before = read_file(seg).value();
+  ASSERT_EQ(before.size(), 4096u);
+  const std::size_t used = 4096 - static_cast<std::size_t>(
+      std::find_if(before.rbegin(), before.rend(),
+                   [](std::uint8_t b) { return b != 0; }) - before.rbegin());
+  ASSERT_LT(used, 4096u);
+
+  ::testing::internal::CaptureStderr();
+  auto fs = open(true, 4096);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("torn tail"), std::string::npos) << err;
+  EXPECT_EQ(read_file(seg).value(), before);  // untouched, same size
+  EXPECT_EQ(fs->last_zxid(), (Zxid{1, c}));
+
+  fs->append(txn(1, c + 1, "next"), nullptr);
+  const Bytes after = read_file(seg).value();
+  ASSERT_EQ(after.size(), 4096u);
+  EXPECT_TRUE(std::equal(before.begin(), before.begin() + used, after.begin()));
+  EXPECT_NE(after[used], 0);  // the new record's header starts at the used length
+  fs.reset();
+  EXPECT_EQ(open(true, 4096)->last_zxid(), (Zxid{1, c + 1}));
+}
+
+TEST_F(FileStorageTest, LeftoverPreparedFileIsRemovedAndNeverRead) {
+  {
+    auto fs = open();
+    for (std::uint32_t c = 1; c <= 3; ++c) fs->append(txn(1, c), nullptr);
+  }
+  // A leftover prepared file holding valid records (of a later zxid).
+  const std::string seg = newest_segment(dir_);
+  {
+    FileStorageOptions opts;
+    opts.dir = dir_ + "/other";
+    auto other = std::move(FileStorage::open(opts)).take();
+    other->append(txn(7, 1), nullptr);
+  }
+  ASSERT_EQ(::rename(newest_segment(dir_ + "/other").c_str(),
+                     (dir_ + "/log.prep").c_str()), 0);
+  auto fs = open();
+  EXPECT_FALSE(file_exists(dir_ + "/log.prep"));
+  EXPECT_EQ(fs->last_zxid(), (Zxid{1, 3}));
+  EXPECT_EQ(fs->entries_in(Zxid::zero(), Zxid::max()).size(), 3u);
+  EXPECT_EQ(newest_segment(dir_), seg);
 }
 
 TEST_F(FileStorageTest, FsUtilHelpers) {
