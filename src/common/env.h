@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <string>
 
 #include "common/buffer.h"
 #include "common/rng.h"
@@ -19,20 +17,6 @@
 #include "common/types.h"
 
 namespace zab {
-
-/// Process-environment lookup ("environment" in the other sense): the shared
-/// entry point for ZAB_* tunables (ZAB_LOG_LEVEL, ZAB_TRACE_CAPACITY, ...).
-/// Returns nullptr when the variable is unset.
-[[nodiscard]] inline const char* env_var(const char* name) {
-  return std::getenv(name);
-}
-
-/// env_var with a fallback for unset variables.
-[[nodiscard]] inline std::string env_var_or(const char* name,
-                                            const std::string& fallback) {
-  const char* v = env_var(name);
-  return v ? std::string(v) : fallback;
-}
 
 using TimerId = std::uint64_t;
 inline constexpr TimerId kNoTimer = 0;

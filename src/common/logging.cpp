@@ -2,10 +2,9 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <mutex>
-
-#include "common/env.h"
 
 namespace zab::logging {
 
@@ -30,7 +29,9 @@ std::optional<LogLevel> parse_level(std::string_view name) {
 namespace {
 
 std::optional<LogLevel> env_level() {
-  const char* v = env_var("ZAB_LOG_LEVEL");
+  // The one setting read from the process environment: every binary and
+  // test takes its log level from ZAB_LOG_LEVEL.
+  const char* v = std::getenv("ZAB_LOG_LEVEL");
   if (!v) return std::nullopt;
   return parse_level(v);
 }

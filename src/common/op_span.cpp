@@ -38,25 +38,6 @@ std::int64_t OpSpan::total_ns() const {
   return delta(start, end);
 }
 
-void OpSpan::merge(const OpSpan& other) {
-  if (session_id == 0) session_id = other.session_id;
-  if (cxid == 0) cxid = other.cxid;
-  if (zxid == 0) zxid = other.zxid;
-  if (op_kind == 0) op_kind = other.op_kind;
-  if (payload_bytes == 0) payload_bytes = other.payload_bytes;
-  if (path.empty()) path = other.path;
-  auto take = [](std::int64_t& mine, std::int64_t theirs) {
-    if (mine < 0) mine = theirs;
-  };
-  take(recv_ns, other.recv_ns);
-  take(propose_ns, other.propose_ns);
-  take(fsync_ns, other.fsync_ns);
-  take(quorum_ns, other.quorum_ns);
-  take(commit_ns, other.commit_ns);
-  take(deliver_ns, other.deliver_ns);
-  take(reply_ns, other.reply_ns);
-}
-
 std::string OpSpan::to_json() const {
   const Stages st = stages();
   std::string out = "{";
@@ -85,50 +66,6 @@ std::string OpSpan::to_json() const {
   out += json::key("total_ns") + json::num(total_ns());
   out += '}';
   return out;
-}
-
-void encode_op_span(BufWriter& w, const OpSpan& s) {
-  w.u64(s.session_id);
-  w.u64(s.cxid);
-  w.u64(s.zxid);
-  w.u8(s.op_kind);
-  w.u32(s.payload_bytes);
-  w.str(s.path);
-  w.i64(s.recv_ns);
-  w.i64(s.propose_ns);
-  w.i64(s.fsync_ns);
-  w.i64(s.quorum_ns);
-  w.i64(s.commit_ns);
-  w.i64(s.deliver_ns);
-  w.i64(s.reply_ns);
-}
-
-Bytes encode_op_span(const OpSpan& s) {
-  BufWriter w(64 + s.path.size());
-  encode_op_span(w, s);
-  return std::move(w).take();
-}
-
-bool decode_op_span(BufReader& r, OpSpan* out) {
-  out->session_id = r.u64();
-  out->cxid = r.u64();
-  out->zxid = r.u64();
-  out->op_kind = r.u8();
-  out->payload_bytes = r.u32();
-  out->path = r.str();
-  out->recv_ns = r.i64();
-  out->propose_ns = r.i64();
-  out->fsync_ns = r.i64();
-  out->quorum_ns = r.i64();
-  out->commit_ns = r.i64();
-  out->deliver_ns = r.i64();
-  out->reply_ns = r.i64();
-  return r.ok();
-}
-
-bool decode_op_span(std::span<const std::uint8_t> wire, OpSpan* out) {
-  BufReader r(wire);
-  return decode_op_span(r, out) && r.at_end();
 }
 
 std::string op_p99_decomposition(const MetricsSnapshot& snap) {

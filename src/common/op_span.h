@@ -16,10 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-
-#include "common/buffer.h"
 
 namespace zab {
 
@@ -60,11 +57,6 @@ struct OpSpan {
   /// (reply, deliver); -1 while the span is incomplete.
   [[nodiscard]] std::int64_t total_ns() const;
 
-  /// Fill every unset field of this span from `other` (identity fields when
-  /// zero/empty, stamps when -1). Lets partial spans recorded at different
-  /// points of the pipeline combine into one breakdown.
-  void merge(const OpSpan& other);
-
   /// One JSON object: identity, raw stamps, derived stage ns, total.
   [[nodiscard]] std::string to_json() const;
 };
@@ -76,14 +68,6 @@ inline constexpr const char* kOpStageNames[] = {
     "reply_write",
 };
 inline constexpr std::size_t kNumOpStages = 6;
-
-void encode_op_span(BufWriter& w, const OpSpan& s);
-[[nodiscard]] Bytes encode_op_span(const OpSpan& s);
-/// False (and *out untouched beyond partial reads) on malformed input.
-[[nodiscard]] bool decode_op_span(BufReader& r, OpSpan* out);
-/// Whole-buffer decode; rejects trailing bytes.
-[[nodiscard]] bool decode_op_span(std::span<const std::uint8_t> wire,
-                                  OpSpan* out);
 
 /// Human table decomposing the op tail over the zab.op.stage.* histograms:
 /// per-stage count/p50/p99 (µs), the sum of stage p99s, and the measured

@@ -8,8 +8,8 @@
 // scrolled out of the window.
 //
 // Not thread-safe: owned by the node's event loop, same as the TraceRing.
-// Exposed through admin `GET /slowlog[?n=]`, `zab_cli slowlog`, and the
-// flight-recorder post-mortem bundle.
+// Exposed through admin `GET /slowlog[?n=]` and the flight-recorder
+// post-mortem bundle.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +18,18 @@
 #include <vector>
 
 #include "common/op_span.h"
+#include "common/time.h"
 
 namespace zab {
+
+/// A finalized span whose end-to-end time meets this enters a node's slow
+/// log.
+inline constexpr Duration kSlowOpThreshold = millis(10);
 
 class SlowLog {
  public:
   explicit SlowLog(std::size_t capacity = 128,
-                   std::int64_t threshold_ns = 10'000'000);
+                   std::int64_t threshold_ns = kSlowOpThreshold);
 
   struct Entry {
     std::uint64_t id = 0;  // admission order, never reused

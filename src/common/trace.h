@@ -55,9 +55,12 @@ struct Event {
   Epoch epoch = 0;
 };
 
+/// Events a node's trace ring holds; the oldest is overwritten.
+inline constexpr std::size_t kTraceCapacity = 8192;
+
 class TraceRing {
  public:
-  explicit TraceRing(std::size_t capacity = 8192);
+  explicit TraceRing(std::size_t capacity = kTraceCapacity);
 
   void record(Zxid zxid, Stage stage, NodeId node, TimePoint t) {
     if (!enabled_) return;

@@ -94,9 +94,7 @@ void RuntimeCluster::start_loop(Slot& s) {
     if (slot->id > cfg_.n) nc.observers = {slot->id};
     slot->node = std::make_unique<ZabNode>(nc, *slot->env, *slot->storage,
                                            slot->metrics.get());
-    if (cfg_.with_trees) {
-      slot->tree = std::make_unique<pb::ReplicatedTree>(*slot->node);
-    }
+    slot->tree = std::make_unique<pb::ReplicatedTree>(*slot->node);
     slot->transport->set_handler([slot](NodeId from, Bytes payload) {
       if (slot->muted.load(std::memory_order_relaxed)) return;
       slot->env->post([slot, from, payload = std::move(payload)] {
@@ -126,13 +124,10 @@ Status RuntimeCluster::start_services(Slot& s) {
     ZAB_RETURN_IF_ERROR(slot->client->start("127.0.0.1", 0));
   }
   if (cfg_.with_admin) {
-    net::AdminConfig ac;
-    ac.port = cfg_.admin_base_port == 0
-                  ? 0
-                  : static_cast<std::uint16_t>(cfg_.admin_base_port + slot->id);
     slot->admin = std::make_unique<net::AdminServer>(
-        ac, pb::make_admin_collector(*slot->env, *slot->node, slot->tree.get(),
-                                     *slot->storage));
+        net::AdminConfig{},
+        pb::make_admin_collector(*slot->env, *slot->node, slot->tree.get(),
+                                 *slot->storage));
     ZAB_RETURN_IF_ERROR(slot->admin->start());
   }
   return Status::ok();
@@ -229,18 +224,6 @@ void RuntimeCluster::with_tree(
     NodeId id, const std::function<void(pb::ReplicatedTree&)>& fn) {
   Slot& s = *slots_.at(id - 1);
   s.env->run_sync([&] { fn(*s.tree); });
-}
-
-std::string RuntimeCluster::mntr_json(NodeId id) {
-  std::string out;
-  with_node(id, [&out](ZabNode& n) { out = n.mntr_json(); });
-  return out;
-}
-
-std::string RuntimeCluster::slowlog(NodeId id, std::size_t n) {
-  std::string out;
-  with_node(id, [&](ZabNode& node) { out = node.slow_log().to_jsonl(n); });
-  return out;
 }
 
 trace::TraceSnapshot RuntimeCluster::trace_snapshot(NodeId id) {

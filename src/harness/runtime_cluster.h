@@ -41,16 +41,13 @@ struct RuntimeClusterConfig {
   /// per-append force. The completion poster is wired to each node's loop,
   /// so durability callbacks keep running on the protocol thread.
   bool group_commit = false;
-  bool with_trees = true;
   /// Also expose each replica to external clients on an ephemeral TCP port
-  /// (see client_port()). Implies with_trees.
+  /// (see client_port()).
   bool with_client_service = false;
-  /// Also run the out-of-band admin HTTP plane per node (see admin_port(),
-  /// admin_get()). Independent of with_client_service.
+  /// Also run the out-of-band admin HTTP plane per node on an ephemeral
+  /// port (see admin_port(), admin_get()). Independent of
+  /// with_client_service.
   bool with_admin = false;
-  /// Admin base port; node i listens on admin_base_port + i. 0 picks
-  /// ephemeral ports (recommended for tests).
-  std::uint16_t admin_base_port = 0;
   /// Non-empty: wire every node's post-mortem bundle into one shared
   /// FlightRecorder dumping to this file, and install its signal handlers.
   std::string crash_dump_path;
@@ -104,12 +101,6 @@ class RuntimeCluster {
     bool active_leader;
   };
   [[nodiscard]] NodeView view(NodeId id);
-
-  /// One node's ZabNode::mntr_json() (runs on its loop thread).
-  [[nodiscard]] std::string mntr_json(NodeId id);
-
-  /// One node's slow-op ring as newest-first JSONL (n = 0: all retained).
-  [[nodiscard]] std::string slowlog(NodeId id, std::size_t n = 0);
 
   /// Thread-safe snapshot of a node's full metrics registry.
   [[nodiscard]] MetricsSnapshot metrics_snapshot(NodeId id);

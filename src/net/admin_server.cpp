@@ -240,7 +240,7 @@ bool AdminServer::fetch(const HttpRequest& req, AdminSnapshot* out) {
   }
   std::unique_lock<std::mutex> lk(p->mu);
   const bool fresh =
-      p->cv.wait_for(lk, std::chrono::nanoseconds(cfg_.collect_timeout),
+      p->cv.wait_for(lk, std::chrono::nanoseconds(kAdminCollectTimeout),
                      [&p] { return p->done; });
   std::lock_guard<std::mutex> clk(cache_mu_);
   if (!fresh) {

@@ -26,7 +26,7 @@
 // Freshness contract: protocol state (histograms, readiness, traces) is
 // owned by the node's event loop, so every GET except /healthz asks a
 // Collector for readiness and that target's body, rendered ON that loop,
-// and waits at most collect_timeout. When the loop is wedged (the exact
+// and waits at most kAdminCollectTimeout. When the loop is wedged (the exact
 // moment you scrape hardest), the server answers anyway from the last good
 // body, marked stale — /metrics keeps exporting, /readyz goes 503. The HTTP
 // surface never blocks on the protocol for longer than the collect timeout.
@@ -56,12 +56,13 @@ struct AdminSnapshot {
   std::string not_ready_reason = "unknown";  // "electing" etc.
 };
 
+/// How long one request waits for a fresh snapshot from the node loop
+/// before falling back to the cached one (marked stale).
+inline constexpr Duration kAdminCollectTimeout = millis(250);
+
 struct AdminConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0: pick an ephemeral port (see AdminServer::port)
-  /// How long one request waits for a fresh snapshot from the node loop
-  /// before falling back to the cached one (marked stale).
-  Duration collect_timeout = millis(250);
 };
 
 /// The subset of an HTTP/1.1 request the admin plane cares about.

@@ -96,6 +96,25 @@ std::string admin_status_json(ZabNode& node, ReplicatedTree* tree,
   out += json::key("snapshot_bytes") + json::num(si.snapshot_bytes);
   out += "},";
 
+  // The settings this node runs with: its ZabConfig and its log's forcing.
+  const ZabConfig& zc = node.config();
+  auto ms = [](Duration d) { return json::num(d / kMillisecond); };
+  out += json::key("config");
+  out += '{';
+  out += json::key("heartbeat_interval_ms") + ms(zc.heartbeat_interval) + ',';
+  out += json::key("follower_timeout_ms") + ms(zc.follower_timeout) + ',';
+  out += json::key("leader_quorum_timeout_ms") +
+         ms(zc.leader_quorum_timeout) + ',';
+  out += json::key("max_outstanding") +
+         json::num(std::uint64_t{zc.max_outstanding}) + ',';
+  out += json::key("snapshot_every") +
+         json::num(std::uint64_t{zc.snapshot_every}) + ',';
+  out += json::key("log_retain") + json::num(std::uint64_t{zc.log_retain}) +
+         ',';
+  out += json::key("fsync") + (si.fsync ? "true," : "false,");
+  out += json::key("group_commit") + (si.group_commit ? "true" : "false");
+  out += "},";
+
   out += json::key("build") + build_info::to_json() + ',';
 
   // Phase durations (satellites of the request-attribution plane): how long

@@ -27,7 +27,8 @@ namespace zab::pb {
 
 class ReplicatedTree;
 
-/// /status body: role, epoch, zxid watermarks, peers, sessions, storage.
+/// /status body: role, epoch, zxid watermarks, peers, sessions, storage,
+/// and the settings the node runs with (`config`).
 /// `tree` may be null (no client layer above the node).
 [[nodiscard]] std::string admin_status_json(ZabNode& node,
                                             ReplicatedTree* tree,

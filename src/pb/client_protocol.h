@@ -46,9 +46,9 @@ enum class ReadConsistency : std::uint8_t {
   /// Default. The request carries the highest zxid the client has observed
   /// (`fence_zxid`); the server answers only once its delivered watermark
   /// has reached it, parking the read until the deliver path catches up
-  /// (bounded by ZAB_READ_FENCE_TIMEOUT_MS, then kNotReady so the client
-  /// rotates). Session reads therefore never travel backwards in zxid
-  /// order and always observe the client's own writes.
+  /// (bounded by kReadFenceTimeout in client_service.h, then kNotReady so
+  /// the client rotates). Session reads therefore never travel backwards in
+  /// zxid order and always observe the client's own writes.
   kSession = 1,
   /// The server first flushes a sync barrier through the broadcast
   /// pipeline and serves the read at (or after) the barrier's zxid: the

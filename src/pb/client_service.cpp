@@ -1,7 +1,5 @@
 #include "pb/client_service.h"
 
-#include <cstdlib>
-
 #include "common/logging.h"
 #include "common/op_span.h"
 #include "pb/admin_status.h"
@@ -18,8 +16,6 @@ ClientService::ClientService(net::RuntimeEnv& env, ReplicatedTree& tree)
   c_reads_not_ready_ = &m.counter("zab.read.not_ready");
   h_read_parked_ns_ = &m.histogram("zab.read.parked_ns");
   h_sync_barrier_ns_ = &m.histogram("zab.sync.barrier_ns");
-  read_fence_timeout_ = millis(static_cast<std::int64_t>(std::strtoull(
-      env_var_or("ZAB_READ_FENCE_TIMEOUT_MS", "1000").c_str(), nullptr, 10)));
   // Wake parked reads from the deliver path. The handler list is loop-owned
   // and this service is constructed after the node started, so the
   // registration itself must hop onto the loop. Ordering inside a delivery:
@@ -251,7 +247,7 @@ void ClientService::park_read(std::uint64_t conn_id, const ClientRequest& req,
   pr.ingress_ns = ingress_ns;
   pr.parked_at_ns = env_->now();
   const std::uint64_t park_id = pr.park_id;
-  pr.timer = env_->set_timer(read_fence_timeout_,
+  pr.timer = env_->set_timer(kReadFenceTimeout,
                              [this, park_id] { expire_parked_read(park_id); });
   parked_.emplace(req.fence_zxid, std::move(pr));
 }

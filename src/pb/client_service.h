@@ -13,9 +13,9 @@
 // at the request's consistency tier (PROTOCOL.md §15): kLocal serves
 // immediately; kSession parks the read in a watermark-keyed wait queue
 // until this replica's delivered zxid reaches the client's fence (woken
-// from the deliver path, bounded by ZAB_READ_FENCE_TIMEOUT_MS, then
-// kNotReady so the client rotates); kLinearizable first flushes a sync
-// barrier through the broadcast pipeline and serves at the barrier's zxid.
+// from the deliver path, bounded by kReadFenceTimeout, then kNotReady so
+// the client rotates); kLinearizable first flushes a sync barrier through
+// the broadcast pipeline and serves at the barrier's zxid.
 // Reads never fan out to the ensemble — follower read capacity scales with
 // server count. Writes enter the replicated pipeline (forwarded to the
 // primary if this server follows) and are answered when the txn commits.
@@ -45,6 +45,9 @@ namespace zab::pb {
 inline constexpr std::size_t kMaxClientFrame = 16u << 20;
 /// Per-connection output cap (the overflow rule in net/reactor.h).
 inline constexpr std::size_t kClientOutCap = 4u << 20;
+/// A session read parked for its fence longer than this is answered
+/// kNotReady, and the client rotates to another replica.
+inline constexpr Duration kReadFenceTimeout = seconds(1);
 
 class ClientService {
  public:
@@ -117,7 +120,7 @@ class ClientService {
                  std::int64_t ingress_ns);
   /// Deliver-path hook: serve every parked read whose fence is now covered.
   void wake_parked_reads();
-  /// A parked read waited out ZAB_READ_FENCE_TIMEOUT_MS: kNotReady.
+  /// A parked read waited out kReadFenceTimeout: kNotReady.
   void expire_parked_read(std::uint64_t park_id);
   /// Synthetic span for a read that sat in the fence queue, so parked reads
   /// surface in the slow-op log with their wait charged to queue_wait.
@@ -161,7 +164,6 @@ class ClientService {
   };
   std::multimap<std::uint64_t, ParkedRead> parked_;
   std::uint64_t next_park_id_ = 1;
-  Duration read_fence_timeout_;
 
   // Read-path observability. Counters are thread-safe; the histograms are
   // loop-owned and only ever recorded on the replica loop.

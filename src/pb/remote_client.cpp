@@ -37,13 +37,10 @@ void RemoteClient::disconnect() {
   }
 }
 
-void RemoteClient::rotate(std::uint32_t& attempts) {
+void RemoteClient::rotate() {
   ++current_;
-  ++attempts;
   disconnect();
-  if (cfg_.backoff > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(cfg_.backoff));
-  }
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kReconnectBackoff));
 }
 
 Status RemoteClient::ensure_connected() {
@@ -272,14 +269,12 @@ Result<ClientResponse> RemoteClient::call(ClientRequest req) {
   // answered from the record instead of executed twice.
   if (req.xid == 0) req.xid = next_xid_++;
   Status last = Status::not_ready("no attempt made");
-  std::uint32_t attempts = 0;
   bool sent_once = false;
 
   while (clock_.now() < deadline) {
-    if (cfg_.max_reconnects != 0 && attempts > cfg_.max_reconnects) break;
     if (Status st = ensure_connected(); !st.is_ok()) {
       last = st;
-      rotate(attempts);
+      rotate();
       continue;
     }
     if (sent_once) ++stats_.replays;
@@ -288,7 +283,7 @@ Result<ClientResponse> RemoteClient::call(ClientRequest req) {
     if (!resp.is_ok()) {
       last = resp.status();
       disconnect();
-      rotate(attempts);
+      rotate();
       continue;
     }
     if (resp.value().xid != req.xid) {
@@ -303,7 +298,7 @@ Result<ClientResponse> RemoteClient::call(ClientRequest req) {
         resp.value().code == Code::kNotLeader ||
         resp.value().code == Code::kTimeout) {
       last = Status(resp.value().code, "server not ready");
-      rotate(attempts);
+      rotate();
       continue;
     }
     if (resp.value().zxid.packed() > last_seen_zxid_) {
@@ -476,18 +471,14 @@ Result<WatchEventMsg> RemoteClient::wait_watch_event(Duration max_wait) {
   if (auto ev = poll_watch_event()) return *ev;
   const TimePoint deadline = clock_.now() + max_wait;
   TimePoint last_ping = clock_.now();
-  std::uint32_t attempts = 0;
 
   while (clock_.now() < deadline) {
     if (fd_ < 0) {
       // Transparent reconnect: re-attach the session and re-register the
       // outstanding watches, then keep waiting. Re-registration can itself
       // surface a missed event (node deleted while away).
-      if (cfg_.max_reconnects != 0 && attempts > cfg_.max_reconnects) {
-        return Status::closed("connection lost, reconnect budget spent");
-      }
       if (Status st = ensure_connected(); !st.is_ok()) {
-        rotate(attempts);
+        rotate();
         continue;
       }
       if (auto ev = poll_watch_event()) return *ev;

@@ -40,6 +40,10 @@ struct Endpoint {
   std::uint16_t port;
 };
 
+/// Pause before the next connection attempt after a failed one or a
+/// rotation to another server.
+inline constexpr Duration kReconnectBackoff = millis(20);
+
 /// Everything a client needs to talk to an ensemble. Field-by-field
 /// designated initializers replace the old positional constructor.
 struct ClientConfig {
@@ -48,11 +52,6 @@ struct ClientConfig {
   Duration session_timeout = seconds(6);
   /// Per-operation deadline (spans reconnects and retries).
   Duration op_timeout = seconds(5);
-  /// Pause between reconnect attempts.
-  Duration backoff = millis(20);
-  /// Give up after this many consecutive failed connection attempts within
-  /// one operation (0 = bounded only by op_timeout).
-  std::uint32_t max_reconnects = 0;
 };
 
 /// Per-read options. Replaces the old positional `bool watch` parameter so
@@ -190,7 +189,8 @@ class RemoteClient {
   /// watches. On success fd_ is usable and session_id_ is set.
   Status ensure_connected();
   void disconnect();
-  void rotate(std::uint32_t& attempts);
+  /// Move to the next server, after kReconnectBackoff.
+  void rotate();
   Status send_all(std::span<const std::uint8_t> data, TimePoint deadline);
   Status send_frame(std::span<const std::uint8_t> payload, TimePoint deadline);
   Result<Bytes> read_frame(TimePoint deadline);

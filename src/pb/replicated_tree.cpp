@@ -144,7 +144,6 @@ bool ReplicatedTree::session_alive(std::uint64_t session) const {
 void ReplicatedTree::submit_multi(std::vector<Op> ops, ResultFn cb,
                                   std::uint64_t session, std::uint64_t cxid,
                                   std::int64_t ingress_ns) {
-  ++stats_.writes_submitted;
   const std::uint64_t req_id = next_req_id_++;
   OpRequest req{node_->id(), req_id, session, cxid, std::move(ops)};
   req.ingress_ns = ingress_ns;
@@ -166,7 +165,6 @@ void ReplicatedTree::fail_pending(std::uint64_t req_id, const Status& st) {
   OpResult res;
   res.status = st;
   cb(res);
-  ++stats_.writes_failed;
 }
 
 // --- Primary-side request execution ------------------------------------------------
@@ -615,10 +613,8 @@ void ReplicatedTree::on_deliver(const Txn& txn) {
         res.zxid = txn.zxid;
         it->second(res);
         pending_.erase(it);
-        ++stats_.writes_completed;
       }
     }
-    ++stats_.txns_applied;
     return;
   }
   auto decoded = decode_tree_txn(txn.data);
@@ -629,7 +625,6 @@ void ReplicatedTree::on_deliver(const Txn& txn) {
   }
   const TreeTxn& t = decoded.value();
   apply(t, txn.zxid);
-  ++stats_.txns_applied;
   note_session_txn(t, txn.zxid);
 
   // Release speculative records on the (current or former) primary.
@@ -716,11 +711,6 @@ void ReplicatedTree::complete(const TreeTxn& t, Zxid zxid,
   }
   it->second(res);
   pending_.erase(it);
-  if (status.is_ok()) {
-    ++stats_.writes_completed;
-  } else {
-    ++stats_.writes_failed;
-  }
 }
 
 void ReplicatedTree::apply(const TreeTxn& t, Zxid zxid) {

@@ -24,13 +24,6 @@
 
 namespace zab::pb {
 
-struct TreeStats {
-  std::uint64_t writes_submitted = 0;
-  std::uint64_t writes_completed = 0;
-  std::uint64_t writes_failed = 0;
-  std::uint64_t txns_applied = 0;
-};
-
 class ReplicatedTree {
  public:
   using ResultFn = std::function<void(const OpResult&)>;
@@ -121,7 +114,6 @@ class ReplicatedTree {
     return ReadResult<Stat>{v.value(), node_->last_delivered()};
   }
   [[nodiscard]] DataTree& tree() { return tree_; }
-  [[nodiscard]] const TreeStats& stats() const { return stats_; }
   [[nodiscard]] ZabNode& node() { return *node_; }
 
  private:
@@ -177,7 +169,6 @@ class ReplicatedTree {
 
   ZabNode* node_;
   DataTree tree_;
-  TreeStats stats_;
   std::map<std::string, ChangeRecord> outstanding_;
   std::unordered_map<std::uint64_t, ResultFn> pending_;  // req_id -> cb
   std::uint64_t next_req_id_ = 1;

@@ -70,9 +70,6 @@ std::string FileStorage::snap_path(Zxid z) const {
 
 Result<std::unique_ptr<FileStorage>> FileStorage::open(
     FileStorageOptions opts) {
-  if (const char* ms = std::getenv("ZAB_SLOW_FSYNC_MS")) {
-    opts.slow_fsync_ns = std::strtoull(ms, nullptr, 10) * 1'000'000ull;
-  }
   ZAB_RETURN_IF_ERROR(make_dirs(opts.dir));
   std::unique_ptr<FileStorage> fs(new FileStorage(std::move(opts)));
   ZAB_RETURN_IF_ERROR(fs->recover());
@@ -291,12 +288,12 @@ Status FileStorage::force_fd(int fd, std::uint64_t* took_ns) {
 
 void FileStorage::note_slow_fsync(std::uint64_t t0, std::uint64_t took,
                                   const std::string& path) {
-  if (opts_.slow_fsync_ns == 0 || took < opts_.slow_fsync_ns) return;
+  if (took < kSlowFsyncNs) return;
   if (c_slow_fsync_) c_slow_fsync_->add();
   if (t0 - last_slow_fsync_log_ns_ >= 1'000'000'000ull) {
     last_slow_fsync_log_ns_ = t0;
     ZAB_WARN() << "slow fsync: " << took / 1'000'000 << " ms on " << path
-               << " (threshold " << opts_.slow_fsync_ns / 1'000'000 << " ms)";
+               << " (threshold " << kSlowFsyncNs / 1'000'000 << " ms)";
   }
 }
 
@@ -570,6 +567,8 @@ Status FileStorage::last_io_status() const {
 
 ZabStorage::StorageInfo FileStorage::info() const {
   StorageInfo i;
+  i.fsync = opts_.fsync;
+  i.group_commit = group_commit();
   i.segments = segments_.size();
   for (const auto& seg : segments_) {
     i.log_entries += seg.entries.size();

@@ -53,6 +53,10 @@
 
 namespace zab::storage {
 
+/// A log force slower than this counts as a slow disk op: `zab.stall.fsync`
+/// is bumped and a rate-limited warning names the segment.
+inline constexpr std::uint64_t kSlowFsyncNs = 100'000'000;  // 100 ms
+
 struct FileStorageOptions {
   std::string dir;
   /// Force appends to media before reporting durability. Disable only for
@@ -78,10 +82,6 @@ struct FileStorageOptions {
   /// preparation, which runs on the log-sync thread, is counted in the
   /// counters storage.segments_prepared and storage.prepare_ns.
   MetricsRegistry* metrics = nullptr;
-  /// An fsync slower than this counts as a slow disk op: `zab.stall.fsync`
-  /// is bumped and a rate-limited warning names the segment. 0 disables.
-  /// Env override: ZAB_SLOW_FSYNC_MS (applied in open()).
-  std::uint64_t slow_fsync_ns = 100'000'000;  // 100 ms
 };
 
 class FileStorage final : public ZabStorage {

@@ -85,6 +85,8 @@ class ZabStorage {
     std::uint64_t segments = 0;
     std::uint64_t snapshot_zxid = 0;   // packed; 0 = no snapshot
     std::uint64_t snapshot_bytes = 0;  // serialized application state size
+    bool fsync = false;         // appends are forced to media
+    bool group_commit = false;  // a log-sync thread drains the write queue
   };
   /// Call from the owner's event context (same rule as the mutators). The
   /// default reports only the snapshot; backends override with log stats.

@@ -33,6 +33,35 @@ enum class Phase : std::uint8_t {
 /// unbounded frame.
 inline constexpr std::size_t kMaxProposeBatchBytes = 128 * 1024;
 
+// --- Election (Phase 0) ---
+/// How long to wait after seeing a quorum for a candidate before concluding
+/// the election (ZooKeeper's finalizeWait).
+inline constexpr Duration kElectionFinalize = millis(20);
+/// Rebroadcast the current vote while still looking (copes with loss and
+/// with peers that were down when we first voted); a follower in discovery
+/// re-sends CEPOCH at the same cadence.
+inline constexpr Duration kElectionRebroadcast = millis(100);
+
+// --- Discovery / Synchronization (Phases 1-2) ---
+/// Back to election when leader establishment (leader) or discovery
+/// (follower) does not complete within this long.
+inline constexpr Duration kDiscoveryTimeout = millis(500);
+/// Follower: back to election when synchronization does not complete
+/// within this long.
+inline constexpr Duration kSyncTimeout = millis(1000);
+
+// --- Health watchdog (docs/PROTOCOL.md §9) ---
+/// Cadence of the stall watchdog (runs for the node's whole life, across
+/// role changes).
+inline constexpr Duration kWatchdogInterval = millis(50);
+/// A proposed zxid with no COMMIT after this long counts as a commit stall
+/// (`zab.stall.commit`).
+inline constexpr Duration kStallCommitTimeout = millis(1000);
+/// Leader only: a voting follower whose acked zxid trails the commit
+/// watermark by more than this many transactions counts as lag-stalled
+/// (`zab.stall.follower_lag`).
+inline constexpr std::uint64_t kStallLagZxids = 1000;
+
 struct ZabConfig {
   NodeId id = kNoNode;
   /// Voting ensemble members. `id` is in either peers or observers.
@@ -42,18 +71,6 @@ struct ZabConfig {
   /// count toward proposal/NEWLEADER quorums, and can never become leader —
   /// so adding observers scales read capacity without growing quorums.
   std::vector<NodeId> observers;
-
-  // --- Election (Phase 0) ---
-  /// How long to wait after seeing a quorum for a candidate before
-  /// concluding the election (ZooKeeper's finalizeWait).
-  Duration election_finalize = millis(20);
-  /// Rebroadcast the current vote while still looking (copes with loss and
-  /// with peers that were down when we first voted).
-  Duration election_rebroadcast = millis(100);
-
-  // --- Discovery / Synchronization (Phases 1-2) ---
-  Duration discovery_timeout = millis(500);
-  Duration sync_timeout = millis(1000);
 
   // --- Broadcast (Phase 3) ---
   // Wire batching has no knob: the leader sends the txns broadcast in one
@@ -66,18 +83,6 @@ struct ZabConfig {
   Duration leader_quorum_timeout = millis(200);
   /// Back-pressure: max proposals in flight (not yet committed).
   std::size_t max_outstanding = 2048;
-
-  // --- Health watchdog ---
-  /// Cadence of the stall watchdog (runs for the node's whole life, across
-  /// role changes). 0 disables the watchdog entirely.
-  Duration watchdog_interval = millis(50);
-  /// A proposed zxid with no COMMIT after this long counts as a commit
-  /// stall (`zab.stall.commit`). Env override: ZAB_STALL_COMMIT_MS.
-  Duration stall_commit_timeout = millis(1000);
-  /// Leader only: a voting follower whose acked zxid trails the commit
-  /// watermark by more than this many transactions counts as lag-stalled
-  /// (`zab.stall.follower_lag`). Env override: ZAB_STALL_LAG_ZXIDS.
-  std::uint64_t stall_lag_zxids = 1000;
 
   // --- Checkpointing ---
   /// Take a local application snapshot every N delivered txns (0 = never).

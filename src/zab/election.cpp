@@ -68,11 +68,11 @@ void ZabNode::start_election() {
     if (phase_ != Phase::kElection) return;
     broadcast_vote();
     rebroadcast_timer_ = env_->set_timer(
-        cfg_.election_rebroadcast, [this, self_fn] { self_fn(self_fn); });
+        kElectionRebroadcast, [this, self_fn] { self_fn(self_fn); });
   };
   if (rebroadcast_timer_ != kNoTimer) env_->cancel_timer(rebroadcast_timer_);
   rebroadcast_timer_ = env_->set_timer(
-      cfg_.election_rebroadcast, [this, rebroadcast] { rebroadcast(rebroadcast); });
+      kElectionRebroadcast, [this, rebroadcast] { rebroadcast(rebroadcast); });
 
   check_election_quorum();  // single-node ensembles elect immediately
 }
@@ -156,7 +156,7 @@ void ZabNode::check_election_quorum() {
     return;
   }
   if (finalize_timer_ == kNoTimer) {
-    finalize_timer_ = env_->set_timer(cfg_.election_finalize, [this] {
+    finalize_timer_ = env_->set_timer(kElectionFinalize, [this] {
       finalize_timer_ = kNoTimer;
       finalize_election();
     });

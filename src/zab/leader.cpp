@@ -41,7 +41,7 @@ void ZabNode::leader_begin_discovery() {
   history_end_ = last_logged_;
 
   if (discovery_timer_ != kNoTimer) env_->cancel_timer(discovery_timer_);
-  discovery_timer_ = env_->set_timer(cfg_.discovery_timeout, [this] {
+  discovery_timer_ = env_->set_timer(kDiscoveryTimeout, [this] {
     if (role_ == Role::kLeading && !activated_) {
       ZAB_DEBUG() << "node " << cfg_.id << ": leadership establishment timed out";
       go_to_election();

@@ -9,37 +9,13 @@
 
 namespace zab {
 
-namespace {
-
-std::size_t trace_capacity_from_env() {
-  const std::string v = env_var_or("ZAB_TRACE_CAPACITY", "");
-  if (v.empty()) return 8192;
-  const auto n = std::strtoull(v.c_str(), nullptr, 10);
-  return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
-Duration env_millis_or(const char* name, Duration fallback) {
-  const std::string v = env_var_or(name, "");
-  if (v.empty()) return fallback;
-  return millis(std::strtoll(v.c_str(), nullptr, 10));
-}
-
-std::uint64_t env_u64_or(const char* name, std::uint64_t fallback) {
-  const std::string v = env_var_or(name, "");
-  if (v.empty()) return fallback;
-  return std::strtoull(v.c_str(), nullptr, 10);
-}
-
-}  // namespace
-
 ZabNode::ZabNode(ZabConfig cfg, Env& env, storage::ZabStorage& storage,
                  MetricsRegistry* metrics)
     : cfg_(std::move(cfg)),
       env_(&env),
       storage_(&storage),
       owned_metrics_(metrics ? nullptr : std::make_unique<MetricsRegistry>()),
-      metrics_(metrics ? metrics : owned_metrics_.get()),
-      trace_(trace_capacity_from_env()) {
+      metrics_(metrics ? metrics : owned_metrics_.get()) {
   assert(cfg_.id != kNoNode);
   assert(cfg_.is_voting(cfg_.id) || cfg_.is_observer(cfg_.id));
 
@@ -51,12 +27,6 @@ ZabNode::ZabNode(ZabConfig cfg, Env& env, storage::ZabStorage& storage,
   std::sort(seed_config_.observers.begin(), seed_config_.observers.end());
   seed_config_.version = 0;
   active_config_ = seed_config_;
-
-  // Watchdog thresholds are deploy-time knobs, overridable per process.
-  cfg_.stall_commit_timeout =
-      env_millis_or("ZAB_STALL_COMMIT_MS", cfg_.stall_commit_timeout);
-  cfg_.stall_lag_zxids =
-      env_u64_or("ZAB_STALL_LAG_ZXIDS", cfg_.stall_lag_zxids);
 
   // Resolve every hot-path metric once; references are stable for the
   // registry's lifetime.
@@ -85,8 +55,6 @@ ZabNode::ZabNode(ZabConfig cfg, Env& env, storage::ZabStorage& storage,
   h_op_total_ = &metrics_->histogram("zab.op.total_ns");
   g_slowlog_count_ = &metrics_->gauge("zab.slowlog.count");
   g_slowlog_threshold_us_ = &metrics_->gauge("zab.slowlog.threshold_us");
-  slow_log_.set_threshold_ns(
-      static_cast<std::int64_t>(env_u64_or("ZAB_SLOWLOG_US", 10'000)) * 1000);
   g_slowlog_threshold_us_->set(slow_log_.threshold_ns() / 1000);
   h_batch_size_ = &metrics_->histogram("zab.batch.propose_txns");
   h_batch_bytes_ = &metrics_->histogram("zab.batch.propose_bytes");
@@ -247,14 +215,13 @@ std::uint64_t ZabNode::lag_zxids(Zxid follower_last, Zxid watermark) {
 }
 
 void ZabNode::arm_watchdog() {
-  if (cfg_.watchdog_interval <= 0) return;
-  watchdog_timer_ = env_->set_timer(cfg_.watchdog_interval, [this] {
+  watchdog_timer_ = env_->set_timer(kWatchdogInterval, [this] {
     watchdog_tick();
     arm_watchdog();
   });
 }
 
-/// Health sweep at watchdog_interval cadence: detect transactions stuck
+/// Health sweep at kWatchdogInterval cadence: detect transactions stuck
 /// before COMMIT and voting followers trailing the watermark by more than
 /// the configured threshold. Counters bump once per stalled zxid/follower
 /// (not per tick); warnings are rate-limited to one per second.
@@ -269,7 +236,7 @@ void ZabNode::watchdog_tick() {
   for (InFlightTxn& r : undelivered_) {
     const OpSpan& sp = r.span;
     if (sp.propose_ns < 0 || sp.commit_ns >= 0 ||
-        now - sp.propose_ns < cfg_.stall_commit_timeout) {
+        now - sp.propose_ns < kStallCommitTimeout) {
       continue;
     }
     if (++stalled == 1) oldest_stalled = r.txn.zxid;
@@ -288,7 +255,7 @@ void ZabNode::watchdog_tick() {
         continue;
       }
       const std::uint64_t lag = lag_zxids(fs.last_zxid, commit_watermark_);
-      if (lag > cfg_.stall_lag_zxids) {
+      if (lag > kStallLagZxids) {
         if (lag_stalled_.insert(nid).second) {
           c_stall_lag_->add();
           new_stall = true;
@@ -308,7 +275,7 @@ void ZabNode::watchdog_tick() {
     last_stall_log_ = now;
     ZAB_WARN() << "node " << cfg_.id << ": stall watchdog: "
                << stalled << " txn(s) without COMMIT for >"
-               << format_duration(cfg_.stall_commit_timeout)
+               << format_duration(kStallCommitTimeout)
                << (stalled ? " (oldest " + to_string(oldest_stalled) + ")"
                            : std::string())
                << ", " << lag_stalled_.size() << " follower(s) lag-stalled";
@@ -872,7 +839,7 @@ void ZabNode::follower_begin_discovery(NodeId leader_id) {
   // Re-send CEPOCH while waiting: the prospective leader may not have
   // concluded its own election yet (models ZooKeeper's connection retry).
   if (discovery_timer_ != kNoTimer) env_->cancel_timer(discovery_timer_);
-  const TimePoint deadline = env_->now() + cfg_.discovery_timeout;
+  const TimePoint deadline = env_->now() + kDiscoveryTimeout;
   auto retry = [this, deadline](auto&& self_fn) -> void {
     if (role_ != Role::kFollowing || phase_ != Phase::kDiscovery) return;
     if (env_->now() >= deadline) {
@@ -883,9 +850,9 @@ void ZabNode::follower_begin_discovery(NodeId leader_id) {
     send_to(leader_, CEpochMsg{storage_->accepted_epoch(),
                                storage_->current_epoch(), last_logged_});
     discovery_timer_ = env_->set_timer(
-        cfg_.election_rebroadcast, [this, self_fn] { self_fn(self_fn); });
+        kElectionRebroadcast, [this, self_fn] { self_fn(self_fn); });
   };
-  discovery_timer_ = env_->set_timer(cfg_.election_rebroadcast,
+  discovery_timer_ = env_->set_timer(kElectionRebroadcast,
                                      [this, retry] { retry(retry); });
 }
 
@@ -919,7 +886,7 @@ void ZabNode::on_new_epoch(NodeId from, const NewEpochMsg& m) {
 
   // Re-arm the phase deadline for synchronization.
   if (discovery_timer_ != kNoTimer) env_->cancel_timer(discovery_timer_);
-  discovery_timer_ = env_->set_timer(cfg_.sync_timeout, [this] {
+  discovery_timer_ = env_->set_timer(kSyncTimeout, [this] {
     if (role_ == Role::kFollowing && phase_ == Phase::kSynchronization) {
       ZAB_DEBUG() << "node " << cfg_.id << ": synchronization timed out";
       go_to_election();

@@ -227,10 +227,9 @@ class ZabNode {
   /// the span finalized; in-flight spans still finalize. The stage stamps
   /// behind zab.stage.* are kept either way.
   void set_spans_enabled(bool on) { spans_enabled_ = on; }
-  [[nodiscard]] bool spans_enabled() const { return spans_enabled_; }
 
-  /// Ring of the slowest recent ops (threshold ZAB_SLOWLOG_US). Loop-owned,
-  /// like the trace ring.
+  /// Ring of the slowest recent ops (threshold kSlowOpThreshold).
+  /// Loop-owned, like the trace ring.
   [[nodiscard]] SlowLog& slow_log() { return slow_log_; }
   [[nodiscard]] const SlowLog& slow_log() const { return slow_log_; }
 

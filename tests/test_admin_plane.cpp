@@ -13,8 +13,9 @@
 //   - collect_admin_snapshot renders only the requested target; the
 //     /tracez reader reads back what /tracez writes
 //   - RuntimeCluster integration: scrape all nodes, /readyz flips 503->200
-//     across a partition, /tracez after a committed write, SIGTERM leaves
-//     a parseable post-mortem bundle on disk
+//     across a partition, /tracez after a committed write, /status reports
+//     the config each node runs with, SIGTERM leaves a parseable
+//     post-mortem bundle on disk
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -485,7 +486,6 @@ TEST(AdminServer, WedgedCollectorServesStaleCacheAndFailsReadiness) {
   // the stale marker; /readyz must refuse.
   std::atomic<int> calls{0};
   net::AdminConfig cfg;
-  cfg.collect_timeout = millis(50);
   net::AdminServer srv(cfg,
                        [&](const net::HttpRequest&,
                            std::function<void(net::AdminSnapshot)> done) {
@@ -726,6 +726,61 @@ TEST(AdminPlaneCluster, ScrapeAllNodesAndReadyzTracksPartition) {
   c.unmute_node(muted);
   EXPECT_TRUE(eventually([&] { return readyz_ok(c, muted); }));
   c.stop();
+}
+
+/// The "config" object of a /status body (it holds no nested object).
+std::string status_config(const std::string& status) {
+  const std::size_t at = status.find("\"config\":{");
+  if (at == std::string::npos) return {};
+  return status.substr(at, status.find('}', at) - at + 1);
+}
+
+TEST(AdminPlaneCluster, StatusReportsTheConfigTheNodeRunsWith) {
+  const std::string dir = ::testing::TempDir() + "zab_status_config_" +
+                          std::to_string(::getpid());
+  (void)storage::remove_dir_recursive(dir);
+  harness::RuntimeClusterConfig cfg;
+  cfg.n = 3;
+  cfg.with_admin = true;
+  cfg.storage_dir = dir;
+  cfg.fsync = true;
+  cfg.group_commit = true;
+  cfg.node.follower_timeout = millis(300);
+  cfg.node.snapshot_every = 500;
+  harness::RuntimeCluster c(cfg);
+  ASSERT_TRUE(c.start().is_ok());
+  ASSERT_NE(c.wait_for_leader(), kNoNode);
+  for (NodeId id = 1; id <= 3; ++id) {
+    auto s = c.admin_get(id, "/status");
+    ASSERT_TRUE(s.is_ok()) << s.status().to_string();
+    const std::string body = net::http_body(s.value());
+    EXPECT_TRUE(json_valid(body)) << body;
+    const std::string conf = status_config(body);
+    ASSERT_FALSE(conf.empty()) << body;
+    for (const char* want :
+         {"\"heartbeat_interval_ms\":40,", "\"follower_timeout_ms\":300,",
+          "\"leader_quorum_timeout_ms\":200,", "\"max_outstanding\":2048,",
+          "\"snapshot_every\":500,", "\"log_retain\":1000,",
+          "\"fsync\":true,", "\"group_commit\":true}"}) {
+      EXPECT_NE(conf.find(want), std::string::npos)
+          << "node " << id << " lacks " << want << " in " << conf;
+    }
+  }
+  c.stop();
+  (void)storage::remove_dir_recursive(dir);
+
+  // An in-memory node forces nothing and runs no log-sync thread.
+  harness::ClusterConfig sc;
+  sc.n = 3;
+  harness::SimCluster sim(sc);
+  const NodeId l = sim.wait_for_leader();
+  ASSERT_NE(l, kNoNode);
+  const std::string conf = status_config(
+      pb::admin_status_json(sim.node(l), nullptr, sim.storage(l)));
+  EXPECT_NE(conf.find("\"fsync\":false,\"group_commit\":false}"),
+            std::string::npos)
+      << conf;
+  EXPECT_NE(conf.find("\"snapshot_every\":0,"), std::string::npos) << conf;
 }
 
 std::atomic<int> g_term_seen{0};

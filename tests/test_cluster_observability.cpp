@@ -420,10 +420,15 @@ TEST(ClusterObservability, MntrJsonAndMergedTraceDump) {
 
   // Leader's mntr_json: node state + per-follower lag gauges (the
   // gauges appear on the first heartbeat tick, hence the poll).
+  auto mntr_json = [&c, l] {
+    std::string out;
+    c.with_node(l, [&out](ZabNode& n) { out = n.mntr_json(); });
+    return out;
+  };
   ASSERT_TRUE(eventually([&] {
-    return c.mntr_json(l).find(".lag_zxids\":") != std::string::npos;
+    return mntr_json().find(".lag_zxids\":") != std::string::npos;
   }));
-  const std::string j = c.mntr_json(l);
+  const std::string j = mntr_json();
   EXPECT_EQ(j.front(), '{');
   EXPECT_NE(j.find("\"role\":\"LEADING\""), std::string::npos) << j;
   EXPECT_NE(j.find("\"zab.quorum.synced_followers\":"), std::string::npos) << j;

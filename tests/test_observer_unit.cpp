@@ -49,7 +49,7 @@ TEST(ObserverUnit, VotingMemberIgnoresObserverVotes) {
   EXPECT_EQ(node.role(), Role::kLooking);
   // One real voting member's vote completes the quorum (self + 1 = 2 of 3).
   inject(node, 1, vote_for(3));
-  env.advance(node.config().election_finalize + millis(1));
+  env.advance(kElectionFinalize + millis(1));
   EXPECT_EQ(node.role(), Role::kLeading);
 }
 
@@ -80,7 +80,7 @@ TEST(ObserverUnit, ObserverAdoptsLeaderFromLookingVotes) {
   inject(node, 1, vote_for(3));
   inject(node, 2, vote_for(3));
   // Quorum of voting members (2 of 3) agree; finalize window then decides.
-  env.advance(node.config().election_finalize + millis(1));
+  env.advance(kElectionFinalize + millis(1));
   EXPECT_EQ(node.role(), Role::kFollowing);
   EXPECT_EQ(node.leader(), 3u);
 }

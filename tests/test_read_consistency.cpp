@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "harness/runtime_cluster.h"
@@ -33,16 +32,6 @@ std::uint64_t counter_of(const MetricsSnapshot& snap, const std::string& n) {
   auto it = snap.counters.find(n);
   return it == snap.counters.end() ? 0 : it->second;
 }
-
-/// Scoped env var: the fence timeout is read once, at ClientService
-/// construction, so tests set it before bringing the cluster up.
-struct ScopedEnvVar {
-  const char* name;
-  ScopedEnvVar(const char* n, const char* value) : name(n) {
-    ::setenv(n, value, 1);
-  }
-  ~ScopedEnvVar() { ::unsetenv(name); }
-};
 
 struct Fixture {
   harness::RuntimeCluster cluster;
@@ -225,7 +214,6 @@ TEST(ReadConsistencyE2E, LocalTierServesStaleWithoutParking) {
 // --- kSession: parking, wake, timeout --------------------------------------
 
 TEST(ReadConsistencyE2E, SessionReadParksUntilTheFenceArrives) {
-  ScopedEnvVar timeout("ZAB_READ_FENCE_TIMEOUT_MS", "10000");
   Fixture f;
   const NodeId l = f.up();
   ASSERT_NE(l, kNoNode);
@@ -273,7 +261,6 @@ TEST(ReadConsistencyE2E, SessionReadParksUntilTheFenceArrives) {
 }
 
 TEST(ReadConsistencyE2E, FenceTimeoutReturnsNotReadyAndClientRotates) {
-  ScopedEnvVar timeout("ZAB_READ_FENCE_TIMEOUT_MS", "50");
   Fixture f;
   const NodeId l = f.up();
   ASSERT_NE(l, kNoNode);
@@ -290,9 +277,9 @@ TEST(ReadConsistencyE2E, FenceTimeoutReturnsNotReadyAndClientRotates) {
   RemoteClient writer(ClientConfig{.servers = {f.eps[l - 1]}});
   ASSERT_TRUE(writer.create("/rotated", to_bytes("served-elsewhere")).is_ok());
 
-  // The fenced read parks on the muted follower, waits out the (tiny)
-  // fence timeout, gets kNotReady, and transparently rotates to the
-  // leader, whose watermark covers the fence.
+  // The fenced read parks on the muted follower, waits out the fence
+  // timeout (kReadFenceTimeout), gets kNotReady, and transparently rotates
+  // to the leader, whose watermark covers the fence.
   ClientRequest req;
   req.kind = ClientOpKind::kGetData;
   req.path = "/rotated";
@@ -314,7 +301,6 @@ TEST(ReadConsistencyE2E, FenceTimeoutReturnsNotReadyAndClientRotates) {
 // --- Watch ordering ---------------------------------------------------------
 
 TEST(ReadConsistencyE2E, WatchRegistersAtTheFencedReadsApplyPoint) {
-  ScopedEnvVar timeout("ZAB_READ_FENCE_TIMEOUT_MS", "10000");
   Fixture f;
   const NodeId l = f.up();
   ASSERT_NE(l, kNoNode);

@@ -148,7 +148,7 @@ TEST(ZabUnit, QuorumPlusFinalizeTimerElects) {
   (void)f.env.drain();
   inject(f.node, 1, vote_for(3));  // 2 of 3 votes: quorum but not unanimous
   EXPECT_EQ(f.node.role(), Role::kLooking);
-  f.env.advance(f.node.config().election_finalize + millis(1));
+  f.env.advance(kElectionFinalize + millis(1));
   EXPECT_EQ(f.node.role(), Role::kLeading);
 }
 
@@ -574,7 +574,7 @@ TEST(ZabUnit, LeaderWhoseLogEndsInItsOwnRemovalCommitsThenStepsDown) {
   ASSERT_FALSE(votes.empty());
   const ElectionEpoch round = votes.back().second.round;
   for (NodeId p : {2, 3}) inject(node, p, vote_for(1, Zxid{1, 2}, 1, round));
-  env.advance(cfg.election_finalize);
+  env.advance(kElectionFinalize);
   ASSERT_EQ(node.role(), Role::kLeading);
   EXPECT_FALSE(node.cluster_config().is_voter(1));  // discovery rescanned
 
