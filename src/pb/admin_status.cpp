@@ -93,7 +93,8 @@ std::string admin_status_json(ZabNode& node, ReplicatedTree* tree,
   out += json::key("segments") + json::num(si.segments) + ',';
   out += json::key("snapshot_zxid") +
          json::str(to_string(Zxid::from_packed(si.snapshot_zxid))) + ',';
-  out += json::key("snapshot_bytes") + json::num(si.snapshot_bytes);
+  out += json::key("snapshot_bytes") + json::num(si.snapshot_bytes) + ',';
+  out += json::key("mirror_bytes") + json::num(si.mirror_bytes);
   out += "},";
 
   // The settings this node runs with: its ZabConfig and its log's forcing.

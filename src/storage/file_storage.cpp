@@ -59,7 +59,40 @@ Status pwrite_all(int fd, std::span<const std::uint8_t> data, std::uint64_t off)
   return Status::ok();
 }
 
+/// The record decoder, shared by recovery, truncation and reads: calls
+/// fn(zxid, data) for each record of a segment image in order, and stops at
+/// the first record that is short, fails its CRC or does not decode, or
+/// that fn refuses (returns false). Returns the end offset of the last
+/// record fn accepted.
+template <typename Fn>
+std::size_t scan_records(std::span<const std::uint8_t> image, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos + 8 <= image.size()) {
+    std::uint32_t len = 0;
+    std::uint32_t masked = 0;
+    std::memcpy(&len, image.data() + pos, 4);
+    std::memcpy(&masked, image.data() + pos + 4, 4);
+    if (pos + 8 + len > image.size()) break;  // short record: torn tail
+    const auto payload = image.subspan(pos + 8, len);
+    if (crc32c_mask(crc32c(payload)) != masked) break;  // corrupt record
+    BufReader r(payload);
+    const Zxid z = r.zxid();
+    const auto data = r.raw(static_cast<std::size_t>(r.varint()));
+    if (!r.ok() || !r.at_end() || !fn(z, data)) break;
+    pos += 8 + len;
+  }
+  return pos;
+}
+
 }  // namespace
+
+void FileStorage::Segment::add(Zxid z) {
+  if (runs.empty() || runs.back().last().next_in_epoch() != z) {
+    runs.push_back({z, 0});
+  }
+  ++runs.back().count;
+  ++records;
+}
 
 std::string FileStorage::segment_path(Zxid start) const {
   return opts_.dir + "/log." + zxid_hex(start);
@@ -77,7 +110,11 @@ Result<std::unique_ptr<FileStorage>> FileStorage::open(
   return fs;
 }
 
-FileStorage::~FileStorage() { quiesce(/*dispatch=*/false); }
+FileStorage::~FileStorage() {
+  quiesce(/*dispatch=*/false);
+  std::lock_guard<std::mutex> serial(completions_->dispatch_mu);
+  completions_->owner = nullptr;
+}
 
 // --- Recovery ----------------------------------------------------------------
 
@@ -106,44 +143,18 @@ Status FileStorage::recover() {
   }
   // Drop segments that ended up empty (e.g. fully torn).
   std::erase_if(segments_, [this](const Segment& s) {
-    if (!s.entries.empty()) return false;
+    if (s.records != 0) return false;
     (void)remove_file(s.path);
     return true;
   });
-
-  return segments_.empty() ? Status::ok() : reopen_active(segments_.back());
-}
-
-Status FileStorage::reopen_active(const Segment& seg) {
-  active_fd_ = Fd(::open(seg.path.c_str(), O_WRONLY | O_CLOEXEC));
-  if (!active_fd_.valid()) return Status::io_error("reopen " + seg.path);
-  write_off_ = seg.bytes;
-  sync_path_ = seg.path;
-  return Status::ok();
+  return load_active();
 }
 
 Status FileStorage::recover_segment(Segment& seg, bool is_last) {
-  auto data_res = read_file(seg.path);
+  auto data_res = index_segment(seg, Zxid::max(), /*mirror=*/false);
   if (!data_res.is_ok()) return data_res.status();
   const Bytes& data = data_res.value();
-
-  std::size_t pos = 0;
-  std::uint64_t valid_bytes = 0;
-  while (pos + 8 <= data.size()) {
-    std::uint32_t len = 0;
-    std::uint32_t masked = 0;
-    std::memcpy(&len, data.data() + pos, 4);
-    std::memcpy(&masked, data.data() + pos + 4, 4);
-    if (pos + 8 + len > data.size()) break;  // short record: torn tail
-    const std::span<const std::uint8_t> payload(data.data() + pos + 8, len);
-    if (crc32c_mask(crc32c(payload)) != masked) break;  // corrupt record
-    BufReader r(payload);
-    Txn t = decode_txn(r);
-    if (!r.ok() || !r.at_end()) break;
-    seg.entries.push_back(std::move(t));
-    pos += 8 + len;
-    valid_bytes = pos;
-  }
+  const std::uint64_t valid_bytes = seg.bytes;
 
   // Zeros to the end: the unused tail of a prepared segment, where appends
   // continue (unless the segment is full and the next append rolls).
@@ -164,8 +175,61 @@ Status FileStorage::recover_segment(Segment& seg, bool is_last) {
     }
     ZAB_RETURN_IF_ERROR(truncate_file(seg.path, valid_bytes));
   }
-  seg.bytes = valid_bytes;
   return Status::ok();
+}
+
+Result<Bytes> FileStorage::index_segment(Segment& seg, Zxid upto,
+                                         bool mirror) {
+  auto image = read_file(seg.path);
+  if (!image.is_ok()) return image.status();
+  seg.runs.clear();
+  seg.records = 0;
+  seg.bytes = scan_records(
+      image.value(), [&](Zxid z, std::span<const std::uint8_t> data) {
+        if (z > upto) return false;
+        seg.add(z);
+        if (mirror) mirror_.push_back(Txn{z, Bytes(data.begin(), data.end())});
+        return true;
+      });
+  if (mirror) {
+    ++mirrored_segments_;
+    mirror_bytes_ += seg.bytes;
+  }
+  return image;
+}
+
+Status FileStorage::load_active() {
+  mirror_.clear();
+  mirrored_segments_ = 0;
+  mirror_bytes_ = 0;
+  active_fd_.reset();
+  Status st = Status::ok();
+  if (!segments_.empty() && segments_.back().bytes < opts_.segment_bytes) {
+    // Appends continue at the used length, inside any zero tail. A file
+    // that does not reopen or read back the records its index lists stays
+    // unmirrored, which counts as closed: reads of it stop where it does
+    // not read back, and the next append rolls.
+    const Segment& seg = segments_.back();
+    Segment reread = seg;
+    active_fd_ = Fd(::open(seg.path.c_str(), O_WRONLY | O_CLOEXEC));
+    st = active_fd_.valid()
+             ? index_segment(reread, Zxid::max(), /*mirror=*/true).status()
+             : Status::io_error("reopen " + seg.path);
+    if (st.is_ok() &&
+        (reread.records != seg.records || reread.bytes != seg.bytes)) {
+      st = Status::corruption("segment " + seg.path + " does not read back");
+    }
+    if (!st.is_ok()) {
+      mirror_.clear();
+      mirrored_segments_ = 0;
+      mirror_bytes_ = 0;
+      active_fd_.reset();
+    }
+    write_off_ = seg.bytes;
+    sync_path_ = seg.path;
+  }
+  if (g_mirror_bytes_) g_mirror_bytes_->set(static_cast<std::int64_t>(mirror_bytes_));
+  return st;
 }
 
 Status FileStorage::load_epoch_file() {
@@ -299,13 +363,22 @@ void FileStorage::note_slow_fsync(std::uint64_t t0, std::uint64_t took,
 
 void FileStorage::append(const Txn& txn, std::function<void()> on_durable) {
   const std::uint64_t t0 = h_append_ns_ ? mono_ns() : 0;
-  // The mirror takes the txn at once (the pending tail is visible to
-  // last_zxid/entries_in), and the record is encoded once, into the queue.
-  const bool roll =
-      segments_.empty() || segments_.back().bytes >= opts_.segment_bytes;
-  if (roll) segments_.push_back({txn.zxid, segment_path(txn.zxid), 0, {}});
+  // The index and the mirror take the txn at once (the pending tail is
+  // visible to last_zxid/entries_in), and the record is encoded once, into
+  // the queue. A roll starts a new mirrored segment; an unmirrored newest
+  // segment counts as closed.
+  const bool roll = mirrored_segments_ == 0 ||
+                    segments_.back().bytes >= opts_.segment_bytes;
+  if (roll) {
+    Segment& fresh = segments_.emplace_back();
+    fresh.start = txn.zxid;
+    fresh.path = segment_path(txn.zxid);
+    ++mirrored_segments_;
+  }
   Segment& seg = segments_.back();
-  seg.entries.push_back(txn);
+  seg.add(txn.zxid);
+  mirror_.push_back(txn);
+  ++appended_;  // before the drain can count it written
   std::unique_lock<std::mutex> lk(queue_mu_);
   const std::size_t rec_start = queued_.size();
   encode_record(queued_, txn);
@@ -327,6 +400,8 @@ void FileStorage::append(const Txn& txn, std::function<void()> on_durable) {
     lk.unlock();
   }
   seg.bytes += rec_bytes;
+  mirror_bytes_ += rec_bytes;
+  release_mirror();
   if (c_append_ops_) c_append_ops_->add();
   if (c_append_bytes_) c_append_bytes_->add(rec_bytes);
   if (h_queue_depth_) h_queue_depth_->record(depth);
@@ -393,7 +468,10 @@ void FileStorage::drain(std::unique_lock<std::mutex>& lk) {
                       std::span(batch_bytes_.data()).subspan(from, to - from),
                       write_off_);
     }
-    if (st.is_ok()) write_off_ += to - from;
+    if (st.is_ok()) {
+      write_off_ += to - from;
+      written_ += j - i;
+    }
     if (st.is_ok() && dir_dirty_) {
       // The roll's directory entry must be durable before any record in the
       // new segment is acknowledged.
@@ -433,7 +511,7 @@ void FileStorage::drain(std::unique_lock<std::mutex>& lk) {
     // batch dispatches right here on the sync thread.
     if (poster) {
       auto q = completions_;
-      poster([q] { CompletionQueue::dispatch(q); });
+      poster([q] { CompletionQueue::dispatch(q, /*on_owner=*/true); });
     } else {
       CompletionQueue::dispatch(completions_);
     }
@@ -514,7 +592,7 @@ void FileStorage::BatchDone::run() {
 }
 
 void FileStorage::CompletionQueue::dispatch(
-    const std::shared_ptr<CompletionQueue>& q) {
+    const std::shared_ptr<CompletionQueue>& q, bool on_owner) {
   // dispatch_mu serializes dispatchers (posted tasks, flush, quiesce) so
   // batches — and callbacks within a batch — run in append order. Durability
   // callbacks must not re-enter flush()/truncate_after().
@@ -523,12 +601,13 @@ void FileStorage::CompletionQueue::dispatch(
     BatchDone done;
     {
       std::lock_guard<std::mutex> g(q->mu);
-      if (q->ready.empty()) return;
+      if (q->ready.empty()) break;
       done = std::move(q->ready.front());
       q->ready.pop_front();
     }
     done.run();
   }
+  if (on_owner && q->owner) q->owner->release_mirror();
 }
 
 void FileStorage::flush() {
@@ -541,6 +620,24 @@ void FileStorage::flush() {
   // Everything queued is on disk; run any completions not yet dispatched by
   // the poster so callers observe all callbacks fired, in order.
   CompletionQueue::dispatch(completions_);
+  release_mirror();
+}
+
+void FileStorage::release_mirror() {
+  // Records are written in append order, so the unwritten ones are the
+  // newest: a segment is all written when they all lie past it.
+  const std::uint64_t unwritten = appended_ - written_;
+  while (mirrored_segments_ > 0) {
+    const Segment& oldest = segments_[segments_.size() - mirrored_segments_];
+    const bool active =
+        mirrored_segments_ == 1 && oldest.bytes < opts_.segment_bytes;
+    if (active || unwritten + oldest.records > mirror_.size()) break;
+    mirror_.erase(mirror_.begin(),
+                  mirror_.begin() + static_cast<std::ptrdiff_t>(oldest.records));
+    mirror_bytes_ -= oldest.bytes;
+    --mirrored_segments_;
+  }
+  if (g_mirror_bytes_) g_mirror_bytes_->set(static_cast<std::int64_t>(mirror_bytes_));
 }
 
 void FileStorage::quiesce(bool dispatch) {
@@ -571,9 +668,10 @@ ZabStorage::StorageInfo FileStorage::info() const {
   i.group_commit = group_commit();
   i.segments = segments_.size();
   for (const auto& seg : segments_) {
-    i.log_entries += seg.entries.size();
+    i.log_entries += seg.records;
     i.log_bytes += seg.bytes;
   }
+  i.mirror_bytes = mirror_bytes_;
   if (snap_) {
     i.snapshot_zxid = snap_->last_included.packed();
     i.snapshot_bytes = snap_->state.size();
@@ -581,49 +679,66 @@ ZabStorage::StorageInfo FileStorage::info() const {
   return i;
 }
 
-Status FileStorage::rewrite_segment(Segment& seg) {
-  BufWriter out;
-  for (const Txn& t : seg.entries) encode_record(out, t);
-  ZAB_RETURN_IF_ERROR(atomic_write_file(seg.path, out.data(), opts_.fsync));
-  seg.bytes = out.size();
-  return Status::ok();
-}
-
 Status FileStorage::truncate_after(Zxid last_keep) {
-  // Make the whole pending tail durable and dispatch its callbacks first. Canceling queued records instead would break callers
-  // that count outstanding appends, and dropping already-acknowledged
-  // records would lose data the truncation means to keep. After the drain
-  // the sync thread is idle and the segment files are stable.
+  // Make the whole pending tail durable and dispatch its callbacks first.
+  // Canceling queued records instead would break callers that count
+  // outstanding appends, and dropping already-acknowledged records would
+  // lose data the truncation means to keep. After the drain the sync thread
+  // is idle and the segment files are stable.
   flush();
   if (c_truncates_) c_truncates_->add();
-  active_fd_.reset();
+  if (segments_.empty() || segments_.back().last() <= last_keep) {
+    return Status::ok();
+  }
+  const Status st = cut_after(last_keep);
+  // Failed or not, the cut left the index matching the files.
+  const Status active = load_active();
+  return st.is_ok() ? active : st;
+}
+
+Status FileStorage::cut_after(Zxid last_keep) {
+  // A segment leaves the index once its file is gone, and the cut segment
+  // is re-indexed once its file is cut.
   while (!segments_.empty() && segments_.back().start > last_keep) {
     ZAB_RETURN_IF_ERROR(remove_file(segments_.back().path));
     segments_.pop_back();
   }
-  if (!segments_.empty()) {
-    Segment& seg = segments_.back();
-    const std::size_t before = seg.entries.size();
-    while (!seg.entries.empty() && seg.entries.back().zxid > last_keep) {
-      seg.entries.pop_back();
-    }
-    if (seg.entries.empty()) {
-      ZAB_RETURN_IF_ERROR(remove_file(seg.path));
-      segments_.pop_back();
-    } else if (seg.entries.size() != before) {
-      ZAB_RETURN_IF_ERROR(rewrite_segment(seg));
-    }
+  if (segments_.empty() || segments_.back().last() <= last_keep) {
+    return Status::ok();
   }
-  // Appends continue at the used length, inside any zero tail.
-  return segments_.empty() ? Status::ok() : reopen_active(segments_.back());
+  // Cut the file at the first dropped record, and force the cut. The
+  // segment keeps at least its first record, and every record kept must
+  // read back: a cut never drops more than it is asked to.
+  Segment& seg = segments_.back();
+  Segment kept;
+  kept.start = seg.start;
+  kept.path = seg.path;
+  auto image = index_segment(kept, last_keep, /*mirror=*/false);
+  if (!image.is_ok()) return image.status();
+  std::uint64_t want = 0;  // records of seg at or below last_keep
+  for (const ZxidRun& r : seg.runs) {
+    if (r.first > last_keep) break;
+    want += r.last() <= last_keep ? r.count
+                                  : last_keep.counter - r.first.counter + 1;
+  }
+  if (kept.records != want) {
+    return Status::corruption("segment " + seg.path + " does not read back");
+  }
+  Fd fd(::open(seg.path.c_str(), O_WRONLY | O_CLOEXEC));
+  if (!fd.valid() || ::ftruncate(fd.get(), static_cast<off_t>(kept.bytes)) != 0) {
+    return Status::io_error("cut segment " + seg.path);
+  }
+  seg = std::move(kept);
+  if (opts_.fsync && ::fsync(fd.get()) != 0) {
+    return Status::io_error("force cut of " + seg.path);
+  }
+  return Status::ok();
 }
 
 // --- Log read path ----------------------------------------------------------------
 
 Zxid FileStorage::last_zxid() const {
-  if (!segments_.empty() && !segments_.back().entries.empty()) {
-    return segments_.back().entries.back().zxid;
-  }
+  if (!segments_.empty()) return segments_.back().last();
   if (snap_) return snap_->last_included;
   return Zxid::zero();
 }
@@ -631,14 +746,16 @@ Zxid FileStorage::last_zxid() const {
 Zxid FileStorage::latest_at_or_below(Zxid z) const {
   Zxid best = Zxid::zero();
   if (snap_ && snap_->last_included <= z) best = snap_->last_included;
-  for (const auto& seg : segments_) {
-    if (seg.start > z) break;
-    for (const auto& t : seg.entries) {
-      if (t.zxid > z) break;
-      best = std::max(best, t.zxid);
-    }
-  }
-  return best;
+  // The answer is in the last run that starts at or below z.
+  const auto seg = std::upper_bound(
+      segments_.begin(), segments_.end(), z,
+      [](Zxid v, const Segment& s) { return v < s.start; });
+  if (seg == segments_.begin()) return best;
+  const auto& runs = std::prev(seg)->runs;
+  const auto run = std::upper_bound(
+      runs.begin(), runs.end(), z,
+      [](Zxid v, const ZxidRun& r) { return v < r.first; });
+  return std::max(best, std::min(std::prev(run)->last(), z));
 }
 
 bool FileStorage::covers(Zxid z) const {
@@ -649,24 +766,57 @@ bool FileStorage::covers(Zxid z) const {
 
 std::vector<Txn> FileStorage::entries_in(Zxid after, Zxid upto) const {
   std::vector<Txn> out;
-  for (const auto& seg : segments_) {
-    for (const auto& t : seg.entries) {
-      if (t.zxid > after && t.zxid <= upto) out.push_back(t);
-    }
+  // Closed segments past the mirror: every record is written, so their
+  // files are stable. The read stops at one that does not read back in
+  // full: what follows it would leave a gap.
+  const auto closed_end =
+      segments_.end() - static_cast<std::ptrdiff_t>(mirrored_segments_);
+  for (auto seg = std::partition_point(
+           segments_.begin(), closed_end,
+           [after](const Segment& s) { return s.last() <= after; });
+       seg != closed_end && seg->start <= upto; ++seg) {
+    if (!read_segment(*seg, after, upto, out)) return out;
   }
+  auto it = std::upper_bound(
+      mirror_.begin(), mirror_.end(), after,
+      [](Zxid v, const Txn& t) { return v < t.zxid; });
+  for (; it != mirror_.end() && it->zxid <= upto; ++it) out.push_back(*it);
   return out;
 }
 
-Zxid FileStorage::first_logged() const {
-  for (const auto& seg : segments_) {
-    if (!seg.entries.empty()) return seg.entries.front().zxid;
+bool FileStorage::read_segment(const Segment& seg, Zxid after, Zxid upto,
+                               std::vector<Txn>& out) const {
+  auto image = read_file(seg.path);
+  if (!image.is_ok()) {
+    ZAB_ERROR() << "log read failed: " << image.status().to_string();
+    return false;
   }
-  return Zxid::max();
+  const std::size_t before = out.size();
+  bool past = false;  // stopped at a record above upto
+  const std::size_t end = scan_records(
+      std::span<const std::uint8_t>(image.value())
+          .first(std::min<std::size_t>(image.value().size(), seg.bytes)),
+      [&](Zxid z, std::span<const std::uint8_t> data) {
+        past = z > upto;
+        if (z > after && !past) out.push_back({z, Bytes(data.begin(), data.end())});
+        return !past;
+      });
+  if (c_log_read_entries_) c_log_read_entries_->add(out.size() - before);
+  if (!past && end != seg.bytes) {
+    ZAB_ERROR() << "log read of " << seg.path << " stopped at byte " << end
+                << "/" << seg.bytes;
+    return false;
+  }
+  return true;
+}
+
+Zxid FileStorage::first_logged() const {
+  return segments_.empty() ? Zxid::max() : segments_.front().start;
 }
 
 std::size_t FileStorage::total_entries() const {
   std::size_t n = 0;
-  for (const auto& seg : segments_) n += seg.entries.size();
+  for (const auto& seg : segments_) n += seg.records;
   return n;
 }
 
@@ -689,26 +839,29 @@ Status FileStorage::save_snapshot(const Snapshot& snap) {
 Status FileStorage::install_snapshot(const Snapshot& snap) {
   flush();  // same drain discipline as truncate_after
   ZAB_RETURN_IF_ERROR(save_snapshot(snap));
-  // The local log is obsolete: a snapshot install replaces history.
-  active_fd_.reset();
-  for (auto& seg : segments_) {
-    ZAB_RETURN_IF_ERROR(remove_file(seg.path));
+  // The local log is obsolete: a snapshot install replaces history. A
+  // segment leaves the index once its file is gone.
+  Status st = Status::ok();
+  while (st.is_ok() && !segments_.empty()) {
+    st = remove_file(segments_.back().path);
+    if (st.is_ok()) segments_.pop_back();
   }
-  segments_.clear();
-  return Status::ok();
+  const Status active = load_active();
+  return st.is_ok() ? active : st;
 }
 
 void FileStorage::purge_log(std::size_t keep) {
   if (!snap_) return;
   flush();  // old-segment records may still be queued
-  while (segments_.size() > 1) {
+  // Only closed segments past the mirror go (all of them after a clean
+  // flush; a failed write keeps its segments mirrored).
+  while (segments_.size() > std::max<std::size_t>(1, mirrored_segments_)) {
     const Segment& first = segments_.front();
-    if (first.entries.empty() ||
-        first.entries.back().zxid > snap_->last_included) {
-      break;
-    }
-    if (total_entries() - first.entries.size() < keep) break;
-    (void)remove_file(first.path);
+    if (first.last() > snap_->last_included) break;
+    if (total_entries() - first.records < keep) break;
+    // A segment leaves the index once its file is gone, so the files left
+    // stay one run of the log.
+    if (!remove_file(first.path).is_ok()) break;
     segments_.erase(segments_.begin());
   }
 }

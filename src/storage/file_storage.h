@@ -15,12 +15,25 @@
 // last valid record of the newest segment is a torn write (truncated there);
 // corruption anywhere else is reported as an error.
 //
-// The full set of logged entries is mirrored in memory (ZooKeeper similarly
-// keeps the committed log in memory); the disk is the durable record used to
-// rebuild on open(). There is one write path: append() updates the mirror,
-// encodes the record once into a queue, and a drain writes queued records at
-// the active segment's used length, one write and ONE force per batch
-// (ZooKeeper's group commit, paper §6). The sync mode only says who drains:
+// The in-memory mirror holds only the records of the active segment (the
+// newest, until it reaches segment_bytes) and any record still queued for
+// write, so it is bounded by segment_bytes plus the write queue. A closed
+// segment keeps O(1) state: path, byte length, record count and its zxids
+// as runs of consecutive counters; last_zxid, latest_at_or_below, covers,
+// first_logged and purge_log answer from that. entries_in reads older
+// records back from the segment files with the decoder recovery uses, and
+// stops before a file that does not read back in full (an IO error, or
+// damage since open()), so its answer never has a gap. open() checks every
+// record's CRC but keeps payloads only for the newest segment. A closed
+// segment leaves the mirror only once all its records are written, so a
+// file read never overlaps the drain's writes. The gauge
+// storage.mirror_bytes tracks the mirror; the counter
+// storage.log_read_entries counts entries read back from segment files.
+//
+// There is one write path: append() updates the mirror, encodes the record
+// once into a queue, and a drain writes queued records at the active
+// segment's used length, one write and ONE force per batch (ZooKeeper's
+// group commit, paper §6). The sync mode only says who drains:
 //
 //   kSync (default)        the caller, inline: on_durable fires inside
 //                          append(). Deterministic — the simulator and most
@@ -39,6 +52,7 @@
 // that covers a record in it.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -72,6 +86,7 @@ struct FileStorageOptions {
   /// force cost on any filesystem.
   std::uint64_t simulated_force_ns = 0;
   /// Roll to a new segment when the active one exceeds this many bytes.
+  /// This also bounds the in-memory mirror (see the header comment).
   std::size_t segment_bytes = 4u << 20;
   /// Optional shared registry; when set, appends/snapshots/truncates are
   /// counted under storage.* and append latency feeds storage.append_ns.
@@ -91,7 +106,8 @@ class FileStorage final : public ZabStorage {
   /// that must run on the owner's loop, e.g. RuntimeEnv::post. Without a
   /// poster, completions are dispatched directly on the log-sync thread
   /// (callbacks must then be thread-safe — fine for benches, wrong for a
-  /// ZabNode). Unused in kSync mode.
+  /// ZabNode), and written segments leave the mirror only at the next
+  /// append() or flush(). Unused in kSync mode.
   using CompletionPoster = std::function<void(std::function<void()>)>;
 
   /// Opens (creating the directory if needed) and recovers existing state.
@@ -139,8 +155,8 @@ class FileStorage final : public ZabStorage {
   /// logs). Records after the error are never reported durable.
   [[nodiscard]] Status last_io_status() const;
 
-  /// Owner-thread only, like the mutators: reads the in-memory segment
-  /// mirror (which includes the queued-but-not-yet-durable tail).
+  /// Owner-thread only, like the mutators: reads the segment index (which
+  /// includes the queued-but-not-yet-durable tail).
   [[nodiscard]] StorageInfo info() const override;
 
  private:
@@ -159,15 +175,30 @@ class FileStorage final : public ZabStorage {
       c_segments_prepared_ =
           &opts_.metrics->counter("storage.segments_prepared");
       c_prepare_ns_ = &opts_.metrics->counter("storage.prepare_ns");
+      c_log_read_entries_ = &opts_.metrics->counter("storage.log_read_entries");
+      g_mirror_bytes_ = &opts_.metrics->gauge("storage.mirror_bytes");
     }
+    completions_->owner = this;
   }
 
+  /// Zxids first, first + 1, ..., first + count - 1 of one epoch.
+  struct ZxidRun {
+    Zxid first;
+    std::uint32_t count = 0;
+    [[nodiscard]] Zxid last() const {
+      return {first.epoch, first.counter + count - 1};
+    }
+  };
+  /// What stays in memory of a segment: no payload (those are in the
+  /// mirror or the file), and one run per epoch it spans in a Zab log.
   struct Segment {
     Zxid start;  // zxid of first record
     std::string path;
-    std::uint64_t bytes = 0;  // includes bytes still queued for write
-    std::vector<Txn> entries;  // in-memory mirror, zxid-ordered; includes
-                               // the not-yet-durable pending tail
+    std::uint64_t bytes = 0;    // includes bytes still queued for write
+    std::uint64_t records = 0;  // likewise
+    std::vector<ZxidRun> runs;  // its zxids, in order; never empty once indexed
+    [[nodiscard]] Zxid last() const { return runs.back().last(); }
+    void add(Zxid z);
   };
 
   /// One queued record: where its bytes end in the queue's byte buffer,
@@ -196,20 +227,43 @@ class FileStorage final : public ZabStorage {
     std::mutex mu;
     std::deque<BatchDone> ready;
     std::mutex dispatch_mu;  // serializes dispatchers, preserving order
-    static void dispatch(const std::shared_ptr<CompletionQueue>& q);
+    // Under dispatch_mu: the live FileStorage, null once it is destroyed.
+    FileStorage* owner = nullptr;
+    /// Run the ready batches in order. `on_owner`: this is the owner's
+    /// context (a posted task), so the written records may leave the mirror.
+    static void dispatch(const std::shared_ptr<CompletionQueue>& q,
+                         bool on_owner = false);
   };
 
   Status recover();
   Status recover_segment(Segment& seg, bool is_last);
+  /// Rebuild `seg`'s index (runs, records, bytes) from the leading valid
+  /// records of its file with zxid <= upto; with `mirror`, their payloads
+  /// join the mirror as its newest segment. Returns the file image.
+  Result<Bytes> index_segment(Segment& seg, Zxid upto, bool mirror);
+  /// Rebuild the mirror from the newest segment's file, and reopen it for
+  /// appends, if that segment is open. A file that does not read back the
+  /// records the index lists stays unmirrored (closed). Only while nothing
+  /// is queued (open(), or after flush()).
+  Status load_active();
+  /// Remove the files of the segments past last_keep and cut the one it
+  /// falls in (truncate_after's file work). Each step keeps the index
+  /// matching the files, so a failure leaves the log as the files hold it.
+  Status cut_after(Zxid last_keep);
+  /// Drop from the mirror every closed segment whose records are all
+  /// written, oldest first. Owner thread.
+  void release_mirror();
+  /// Append the entries of closed segment `seg` in (after, upto], read back
+  /// from its file, to `out`. False (logged) when the file does not read
+  /// back all of them: an IO error, or damage since open().
+  bool read_segment(const Segment& seg, Zxid after, Zxid upto,
+                    std::vector<Txn>& out) const;
   Status load_epoch_file();
   Status store_epoch_file();
   Status load_latest_snapshot();
   /// Append one framed record ([len|crc|payload], encoded exactly once with
   /// the header patched in) to `out`.
   static void encode_record(BufWriter& out, const Txn& txn);
-  Status rewrite_segment(Segment& seg);
-  /// Open `seg` for writing at its used length; records land there.
-  Status reopen_active(const Segment& seg);
   /// Write out everything queued at the active segment's used length: one
   /// write and one force per run of records (capped, never across a roll).
   /// Called with `lk` held, by the log-sync thread or inline by append() in
@@ -244,6 +298,14 @@ class FileStorage final : public ZabStorage {
 
   FileStorageOptions opts_;
   std::vector<Segment> segments_;
+  // --- The mirror (owner thread): every record of the newest
+  // mirrored_segments_ segments, oldest first. These are the active segment
+  // and any closed one with a record not yet written.
+  std::deque<Txn> mirror_;
+  std::size_t mirrored_segments_ = 0;
+  std::uint64_t mirror_bytes_ = 0;  // record bytes of those segments
+  std::uint64_t appended_ = 0;      // records queued since open()
+  std::atomic<std::uint64_t> written_{0};  // of those, written by the drain
   std::optional<Snapshot> snap_;
   Epoch accepted_epoch_ = kNoEpoch;
   Epoch current_epoch_ = kNoEpoch;
@@ -284,6 +346,8 @@ class FileStorage final : public ZabStorage {
   AtomicCounter* c_slow_fsync_ = nullptr;
   AtomicCounter* c_segments_prepared_ = nullptr;
   AtomicCounter* c_prepare_ns_ = nullptr;
+  AtomicCounter* c_log_read_entries_ = nullptr;
+  Gauge* g_mirror_bytes_ = nullptr;
   Histogram* h_append_ns_ = nullptr;
   Histogram* h_fsync_ns_ = nullptr;
   Histogram* h_batch_records_ = nullptr;

@@ -59,6 +59,8 @@ Result<Bytes> read_file(const std::string& path) {
   Fd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
   if (!fd.valid()) return Status::io_error(errno_msg("open " + path));
   Bytes out;
+  struct stat st {};
+  if (::fstat(fd.get(), &st) == 0) out.reserve(static_cast<std::size_t>(st.st_size));
   std::uint8_t buf[1 << 16];
   while (true) {
     const ssize_t n = ::read(fd.get(), buf, sizeof(buf));

@@ -57,7 +57,9 @@ class ZabStorage {
   [[nodiscard]] virtual bool covers(Zxid z) const = 0;
 
   /// Entries with after < zxid <= upto that are still in the log (not yet
-  /// folded into a snapshot), in zxid order.
+  /// folded into a snapshot), in zxid order. If part of them does not read
+  /// back (an IO error, or a log file damaged while open), the answer stops
+  /// before that part: it is never a run with a gap.
   [[nodiscard]] virtual std::vector<Txn> entries_in(Zxid after,
                                                     Zxid upto) const = 0;
 
@@ -85,6 +87,7 @@ class ZabStorage {
     std::uint64_t segments = 0;
     std::uint64_t snapshot_zxid = 0;   // packed; 0 = no snapshot
     std::uint64_t snapshot_bytes = 0;  // serialized application state size
+    std::uint64_t mirror_bytes = 0;    // log record bytes held in memory
     bool fsync = false;         // appends are forced to media
     bool group_commit = false;  // a log-sync thread drains the write queue
   };

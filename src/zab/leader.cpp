@@ -30,7 +30,9 @@ void ZabNode::leader_begin_discovery() {
   // Lead under the latest config found in our log/snapshot, committed or
   // not: if the previous leader got a reconfig durable on a quorum it may
   // already be committed elsewhere, and quorum arithmetic must honor it.
-  rescan_cluster_config();
+  // Appends keep it current, so this reads no log.
+  active_config_ = logged_config_;
+  refresh_config_gauges();
   followers_.clear();
   newleader_acks_.clear();
   synced_observers_.clear();
@@ -146,22 +148,31 @@ void ZabNode::leader_sync_follower(NodeId f) {
   // abandoned branch and must go (TRUNC); everything we have beyond it is
   // replayed. Proposals are unique per zxid, so logs agree on every zxid
   // both contain and this single point fully determines the diff.
-  Zxid t = storage_->latest_at_or_below(fs.last_zxid);
-
-  if (t < fs.last_zxid) {
-    send_to(f, TruncMsg{establishing_epoch_, t});
-  }
+  const Zxid t = storage_->latest_at_or_below(fs.last_zxid);
 
   // If part of (t, sync_end] has been folded into a snapshot, we cannot
   // replay it entry-by-entry: ship the whole snapshot instead (SNAP).
   const auto snap = storage_->snapshot();
-  if (snap && t < snap->last_included) {
-    send_to(f, SnapMsg{establishing_epoch_, snap->last_included, snap->state});
-    t = snap->last_included;
+  const bool send_snap = snap && t < snap->last_included;
+  const Zxid diff_from = send_snap ? snap->last_included : t;
+  // The rest is the DIFF, which the log may read back from its files. Part
+  // of a DIFF would leave the follower a hole: a leader that cannot read
+  // back its own history does not lead.
+  const auto diff = read_log(diff_from);
+  if (!diff) {
+    ZAB_ERROR() << "node " << cfg_.id << ": log does not read back after "
+                << to_string(diff_from) << " to sync follower " << f
+                << "; abdicating";
+    go_to_election();
+    return;
   }
 
-  Zxid prev = t;
-  for (const Txn& txn : storage_->entries_in(t, sync_end)) {
+  if (t < fs.last_zxid) send_to(f, TruncMsg{establishing_epoch_, t});
+  if (send_snap) {
+    send_to(f, SnapMsg{establishing_epoch_, snap->last_included, snap->state});
+  }
+  Zxid prev = diff_from;
+  for (const Txn& txn : *diff) {
     send_to(f, ProposeMsg{establishing_epoch_, prev, txn});
     prev = txn.zxid;
   }

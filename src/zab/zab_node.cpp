@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -99,14 +100,17 @@ void ZabNode::start() {
       inst(snap->last_included, app_state);
     }
   }
-  for (Txn& t : storage_->entries_in(last_delivered_, last_logged_)) {
-    undelivered_.emplace_back().txn = std::move(t);
+  // One read of the log: the undelivered tail, and the member set to
+  // elect under. The LATEST config found in snapshot or log governs, even if
+  // its reconfig txn never committed — quorum decisions must never regress
+  // to a member set an already-agreed change replaced.
+  std::vector<Txn> log = read_whole_log();
+  logged_config_ = scan_logged_config(log);
+  active_config_ = logged_config_;
+  refresh_config_gauges();
+  for (Txn& t : log) {
+    if (t.zxid > last_delivered_) undelivered_.emplace_back().txn = std::move(t);
   }
-  // Recover the member set before electing: the LATEST config found in
-  // snapshot or log governs, even if its reconfig txn never committed —
-  // quorum decisions must never regress to a member set an already-agreed
-  // change replaced.
-  rescan_cluster_config();
 
   ZAB_INFO() << "node " << cfg_.id << " starting: last_logged="
              << to_string(last_logged_)
@@ -609,6 +613,11 @@ void ZabNode::maybe_snapshot() {
     ZAB_ERROR() << "node " << cfg_.id << ": snapshot failed: " << st.to_string();
     return;
   }
+  // The snapshot carries active_config_, and scan_logged_config() ranks a
+  // snapshot's config before the log's, so it wins a tie.
+  if (active_config_.version >= logged_config_.version) {
+    logged_config_ = active_config_;
+  }
   storage_->purge_log(cfg_.log_retain);
   delivered_since_snapshot_ = 0;
   c_snapshots_->add();
@@ -638,7 +647,7 @@ void ZabNode::apply_cluster_config(const ClusterConfig& c, Zxid z,
   }
   // A config can already be active when it commits: redelivered after a
   // snapshot and replay overlap, or activated by this leader's discovery
-  // (rescan_cluster_config). The leader's duties below hold either way —
+  // (logged_config_). The leader's duties below hold either way —
   // the second case is how a leader whose log ended in its own uncommitted
   // removal hands off once that removal commits (PROTOCOL.md §16).
   if (role_ == Role::kLeading && activated_) {
@@ -666,7 +675,7 @@ void ZabNode::apply_cluster_config(const ClusterConfig& c, Zxid z,
   }
 }
 
-void ZabNode::rescan_cluster_config() {
+ClusterConfig ZabNode::scan_logged_config(const std::vector<Txn>& log) const {
   ClusterConfig best = seed_config_;
   if (auto snap = storage_->snapshot()) {
     Bytes ignored;
@@ -677,13 +686,43 @@ void ZabNode::rescan_cluster_config() {
   // Surviving log entries in zxid order; the LAST reconfig wins, committed
   // or not (an uncommitted one may still be resurrected by the next
   // epoch's sync, and quorum decisions must already honor it).
-  for (const Txn& t : storage_->entries_in(Zxid::zero(), last_logged_)) {
+  for (const Txn& t : log) {
     if (auto rc = try_decode_reconfig_txn(t.data)) {
       if (rc->config.version > best.version) best = rc->config;
     }
   }
-  active_config_ = best;
-  refresh_config_gauges();
+  return best;
+}
+
+std::optional<std::vector<Txn>> ZabNode::read_log(Zxid after) const {
+  std::vector<Txn> txns = storage_->entries_in(after, last_logged_);
+  // entries_in stops before any part it cannot read back, so the read is
+  // whole iff it reaches last_logged_, when the log holds txns past after.
+  const bool any =
+      after < last_logged_ && storage_->first_logged() <= last_logged_;
+  if (any && (txns.empty() || txns.back().zxid != last_logged_)) {
+    return std::nullopt;
+  }
+  return txns;
+}
+
+std::vector<Txn> ZabNode::read_whole_log() const {
+  auto log = read_log(Zxid::zero());
+  if (!log) {
+    // Running on part of it would mean a wrong history and member set.
+    ZAB_ERROR() << "node " << cfg_.id << ": log does not read back up to "
+                << to_string(last_logged_) << "; stopping";
+    std::abort();
+  }
+  return std::move(*log);
+}
+
+void ZabNode::note_logged(const Txn& t) {
+  if (auto rc = try_decode_reconfig_txn(t.data)) {
+    if (rc->config.version > logged_config_.version) {
+      logged_config_ = rc->config;
+    }
+  }
 }
 
 Result<Zxid> ZabNode::propose_reconfig(ClusterConfig target, NodeId origin,
@@ -785,6 +824,7 @@ Result<Zxid> ZabNode::broadcast(Bytes op) {
     });
   }
   ++pending_appends_;
+  note_logged(txn);
   storage_->append(txn, [this, z] {
     --pending_appends_;
     note_append_durable(z);
@@ -903,9 +943,12 @@ void ZabNode::on_trunc(NodeId from, const TruncMsg& m) {
   assert(m.truncate_to >= commit_watermark_ &&
          "protocol violation: committed txn truncated");
   if (Status st = storage_->truncate_after(m.truncate_to); !st.is_ok()) {
-    ZAB_ERROR() << "truncate failed: " << st.to_string();
-    go_to_election();
-    return;
+    // A cut that failed part way can leave the log shorter than
+    // last_logged_ says: running on would chain the next DIFF onto txns the
+    // log no longer holds. Stop; a restart recovers from the files.
+    ZAB_ERROR() << "node " << cfg_.id << ": truncate failed: "
+                << st.to_string() << "; stopping";
+    std::abort();
   }
   last_logged_ = storage_->last_zxid();
   last_durable_ = std::min(last_durable_, last_logged_);
@@ -913,10 +956,14 @@ void ZabNode::on_trunc(NodeId from, const TruncMsg& m) {
          undelivered_.back().txn.zxid > m.truncate_to) {
     undelivered_.pop_back();
   }
+  if (logged_config_.config_zxid > m.truncate_to) {
+    logged_config_ = scan_logged_config(read_whole_log());
+  }
   if (active_config_.config_zxid > m.truncate_to) {
     // The reconfig txn our config came from belonged to the abandoned
     // branch; fall back to the latest config the surviving history carries.
-    rescan_cluster_config();
+    active_config_ = logged_config_;
+    refresh_config_gauges();
   }
 }
 
@@ -928,15 +975,19 @@ void ZabNode::on_snap(NodeId from, SnapMsg m) {
   c_sync_snap_->add();
   storage::Snapshot snap{m.last_included, std::move(m.state)};
   if (Status st = storage_->install_snapshot(snap); !st.is_ok()) {
-    ZAB_ERROR() << "snapshot install failed: " << st.to_string();
-    go_to_election();
-    return;
+    // Like a failed TRUNC: the log may be partly removed.
+    ZAB_ERROR() << "node " << cfg_.id << ": snapshot install failed: "
+                << st.to_string() << "; stopping";
+    std::abort();
   }
   // The wire body is stored verbatim (so a later re-sync ships it onward
   // unchanged); installers get the unwrapped app bytes, and the config the
   // leader wrapped in becomes ours — full state transfer covers membership.
   Bytes app_state;
-  if (auto snap_cfg = unwrap_snapshot_state(snap.state, app_state)) {
+  const auto snap_cfg = unwrap_snapshot_state(snap.state, app_state);
+  logged_config_ = seed_config_;  // the log is gone
+  if (snap_cfg) {
+    if (snap_cfg->version > logged_config_.version) logged_config_ = *snap_cfg;
     apply_cluster_config(*snap_cfg, snap.last_included, /*committed=*/false);
   }
   for (auto& inst : snapshot_installers_) {
@@ -1093,6 +1144,7 @@ void ZabNode::append_follower_entry(Txn txn, AckMode mode, Epoch epoch) {
   }
   last_logged_ = z;
   ++pending_appends_;
+  note_logged(txn);
   storage_->append(txn, [this, z, mode, epoch] {
     --pending_appends_;
     note_append_durable(z);

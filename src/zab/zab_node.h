@@ -262,11 +262,20 @@ class ZabNode {
   /// reconfig txn from a snapshot/recovery adoption for the
   /// zab.reconfig.committed counter.
   void apply_cluster_config(const ClusterConfig& c, Zxid z, bool committed);
-  /// Rebuild active_config_ from seed + snapshot wrapper + surviving log
-  /// entries (the "latest config in the log, committed or not" rule). Used
-  /// at start(), after a TRUNC that cut below the active config's zxid, and
-  /// when taking over leadership.
-  void rescan_cluster_config();
+  /// The latest config in `log` (every logged txn, oldest first), the
+  /// snapshot or the seed, committed or not: the newest by version, the
+  /// earliest of equals in that order. Read at start() and after a TRUNC
+  /// that cut below logged_config_; appends keep it current otherwise.
+  [[nodiscard]] ClusterConfig scan_logged_config(
+      const std::vector<Txn>& log) const;
+  /// Keep logged_config_ current across the append of `t`.
+  void note_logged(const Txn& t);
+  /// The logged txns in (after, last_logged_], oldest first; nullopt when
+  /// the storage could not read them all back (it logs why).
+  [[nodiscard]] std::optional<std::vector<Txn>> read_log(Zxid after) const;
+  /// Every logged txn. A replica whose log does not read back in full
+  /// stops the process: it must not run on part of its history.
+  [[nodiscard]] std::vector<Txn> read_whole_log() const;
   void refresh_config_gauges();
 
   // --- Election / Phase 0 (election.cpp) ---
@@ -442,6 +451,10 @@ class ZabNode {
   ClusterConfig seed_config_;
   /// What every quorum/membership decision evaluates against.
   ClusterConfig active_config_;
+  /// The latest config that the log, the snapshot or the seed carries,
+  /// committed or not (scan_logged_config()'s answer, kept current without
+  /// reading the log). A leader's discovery activates it.
+  ClusterConfig logged_config_;
   struct PendingReconfig {
     ClusterConfig config;
     Zxid zxid;  // the reconfig proposal's own zxid

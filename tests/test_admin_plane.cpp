@@ -749,7 +749,8 @@ TEST(AdminPlaneCluster, StatusReportsTheConfigTheNodeRunsWith) {
   cfg.node.snapshot_every = 500;
   harness::RuntimeCluster c(cfg);
   ASSERT_TRUE(c.start().is_ok());
-  ASSERT_NE(c.wait_for_leader(), kNoNode);
+  const NodeId leader = c.wait_for_leader();
+  ASSERT_NE(leader, kNoNode);
   for (NodeId id = 1; id <= 3; ++id) {
     auto s = c.admin_get(id, "/status");
     ASSERT_TRUE(s.is_ok()) << s.status().to_string();
@@ -766,21 +767,55 @@ TEST(AdminPlaneCluster, StatusReportsTheConfigTheNodeRunsWith) {
           << "node " << id << " lacks " << want << " in " << conf;
     }
   }
+
+  // Writes that roll every log twice (4 MiB segments; too few for a
+  // snapshot): once its writes are done, each replica's /status shows a
+  // log of over two segments and a mirror of at most one plus one record.
+  constexpr int kWrites = 90;
+  const Bytes value(100 << 10, 'm');
+  auto ok = std::make_shared<std::atomic<int>>(0);
+  for (int i = 0; i < kWrites; ++i) {
+    c.with_tree(leader, [&, ok, i](pb::ReplicatedTree& t) {
+      t.create("/m" + std::to_string(i), value, [ok](const pb::OpResult& r) {
+        if (r.status.is_ok()) ++*ok;
+      });
+    });
+  }
+  ASSERT_TRUE(eventually([&] { return ok->load() == kWrites; }, 20000ms));
+  const auto number = [](const std::string& body, const std::string& key) {
+    const std::size_t at = body.find("\"" + key + "\":");
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(body.c_str() + at + key.size() + 3, nullptr, 10);
+  };
+  for (NodeId id = 1; id <= 3; ++id) {
+    std::string body;
+    EXPECT_TRUE(eventually([&] {
+      auto s = c.admin_get(id, "/status");
+      body = s.is_ok() ? net::http_body(s.value()) : "";
+      return number(body, "log_bytes") > 2u * (4u << 20) &&
+             number(body, "mirror_bytes") <= (4u << 20) + (101u << 10);
+    })) << "node " << id << ": " << body.substr(0, body.find("\"config\""));
+    EXPECT_GT(number(body, "mirror_bytes"), 0u) << "node " << id;
+  }
   c.stop();
   (void)storage::remove_dir_recursive(dir);
 
-  // An in-memory node forces nothing and runs no log-sync thread.
+  // An in-memory node forces nothing, runs no log-sync thread and mirrors
+  // no log file.
   harness::ClusterConfig sc;
   sc.n = 3;
   harness::SimCluster sim(sc);
   const NodeId l = sim.wait_for_leader();
   ASSERT_NE(l, kNoNode);
-  const std::string conf = status_config(
-      pb::admin_status_json(sim.node(l), nullptr, sim.storage(l)));
+  const std::string body =
+      pb::admin_status_json(sim.node(l), nullptr, sim.storage(l));
+  const std::string conf = status_config(body);
   EXPECT_NE(conf.find("\"fsync\":false,\"group_commit\":false}"),
             std::string::npos)
       << conf;
   EXPECT_NE(conf.find("\"snapshot_every\":0,"), std::string::npos) << conf;
+  EXPECT_NE(body.find("\"mirror_bytes\":0}"), std::string::npos) << body;
 }
 
 std::atomic<int> g_term_seen{0};

@@ -745,11 +745,12 @@ TEST(RuntimeCluster, GroupCommitEnsembleReplicatesAndRestarts) {
 /// Create `prefix`0 .. `prefix`(n-1) through node `at`; true once every
 /// create has committed.
 bool create_all(harness::RuntimeCluster& c, NodeId at,
-                const std::string& prefix, int n) {
+                const std::string& prefix, int n,
+                const Bytes& value = to_bytes("v")) {
   auto ok = std::make_shared<std::atomic<int>>(0);
   for (int i = 0; i < n; ++i) {
     c.with_tree(at, [&, ok, i](pb::ReplicatedTree& t) {
-      t.create(prefix + std::to_string(i), to_bytes("v"),
+      t.create(prefix + std::to_string(i), value,
                [ok](const pb::OpResult& r) {
                  if (r.status.is_ok()) ++*ok;
                });
@@ -838,13 +839,18 @@ TEST(RuntimeCluster, CrashedFollowerRestartsAndCatchesUp) {
   const NodeId f = l == 3 ? 2 : 3;
   ASSERT_TRUE(create_all(c, l, "/pre", 5));
 
-  // The leader and the other follower still form a quorum.
+  // The leader and the other follower still form a quorum. Meanwhile the
+  // leader logs more than one 4 MiB segment, but less than a link's
+  // kPeerOutCap, so the follower's catch-up is one DIFF that starts in a
+  // closed segment.
   ASSERT_TRUE(c.crash(f).is_ok());
   EXPECT_FALSE(c.restart(l).is_ok());  // only a crashed server restarts
   ASSERT_TRUE(create_all(c, l, "/down", 20));
+  ASSERT_TRUE(create_all(c, l, "/big", 50, Bytes(100 << 10, 'b')));
 
   // The restarted follower reopens its log, binds a new port that the
-  // others learn, and syncs the writes it missed.
+  // others learn, and syncs the writes it missed: by DIFF, read back from
+  // the leader's segment files.
   ASSERT_TRUE(c.restart(f).is_ok());
   ASSERT_TRUE(eventually(
       [&] { return c.view(f).last_delivered == c.view(l).last_delivered; },
@@ -852,6 +858,9 @@ TEST(RuntimeCluster, CrashedFollowerRestartsAndCatchesUp) {
   EXPECT_EQ(c.view(f).role, Role::kFollowing);
   EXPECT_TRUE(has_all(c, f, "/pre", 5));
   EXPECT_TRUE(has_all(c, f, "/down", 20));
+  EXPECT_TRUE(has_all(c, f, "/big", 50));
+  EXPECT_EQ(c.metrics_snapshot(f).counters.at("zab.recovery.snap_received"), 0u);
+  EXPECT_GT(c.metrics_snapshot(l).counters.at("storage.log_read_entries"), 0u);
   c.stop();
   (void)storage::remove_dir_recursive(dir);
 }

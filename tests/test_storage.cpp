@@ -1,5 +1,6 @@
 // Unit tests for the storage substrate: in-memory and file-backed logs,
-// epoch metadata, snapshots, torn-write recovery, truncation, purge.
+// epoch metadata, snapshots, torn-write recovery, truncation, purge, and
+// seeded runs of FileStorage against MemStorage as the reference.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,6 +14,7 @@
 #include <thread>
 
 #include "common/metrics_registry.h"
+#include "common/rng.h"
 #include "storage/file_storage.h"
 #include "storage/mem_storage.h"
 
@@ -135,6 +137,17 @@ class FileStorageTest : public ::testing::Test {
     return r.is_ok() ? std::move(r).take() : nullptr;
   }
 
+  /// Paths of the log segments, oldest first.
+  std::vector<std::string> log_files() const {
+    std::vector<std::string> out;
+    const auto names = list_dir(dir_);
+    for (const auto& n : names.value()) {
+      if (n.rfind("log.", 0) == 0) out.push_back(dir_ + "/" + n);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
   std::string dir_;
 };
 
@@ -247,6 +260,141 @@ TEST_F(FileStorageTest, TruncateAfterRewritesDisk) {
   auto fs = open(false, 256);
   EXPECT_EQ(fs->last_zxid(), (Zxid{2, 1}));
   EXPECT_EQ(fs->entries_in(Zxid::zero(), Zxid::max()).size(), 8u);
+}
+
+TEST_F(FileStorageTest, ReadsStopBeforeASegmentThatDoesNotReadBack) {
+  // 49-byte records, six to a 256-byte segment: 1..6, 7..12, 13..18 are
+  // closed and 19..20 are the mirror. A closed segment damaged or gone
+  // after open() ends every read that reaches it, the mirror included.
+  auto fs = open(false, 256);
+  for (std::uint32_t c = 1; c <= 20; ++c) {
+    fs->append(txn(1, c, std::string(32, 'd')), nullptr);
+  }
+  const auto segs = log_files();
+  ASSERT_EQ(segs.size(), 4u);
+  Bytes second = read_file(segs[1]).value();
+  second[49 + 20] ^= 0xff;  // the payload of record 1:8
+  ASSERT_TRUE(atomic_write_file(segs[1], second, false).is_ok());
+
+  auto got = fs->entries_in(Zxid::zero(), Zxid::max());
+  ASSERT_EQ(got.size(), 7u);
+  EXPECT_EQ(got.back().zxid, (Zxid{1, 7}));
+  EXPECT_TRUE(fs->entries_in(Zxid{1, 7}, Zxid::max()).empty());
+  // Ranges that stop short of the damage, or start past it, read in full.
+  EXPECT_EQ(fs->entries_in(Zxid::zero(), Zxid{1, 7}).size(), 7u);
+  EXPECT_EQ(fs->entries_in(Zxid{1, 12}, Zxid::max()).size(), 8u);
+
+  // A cut never drops records it keeps: cutting after 1:9 fails, and the
+  // damaged segment stays as it is (only the segments past it go).
+  EXPECT_FALSE(fs->truncate_after(Zxid{1, 9}).is_ok());
+  EXPECT_EQ(fs->last_zxid(), (Zxid{1, 12}));
+  EXPECT_EQ(read_file(segs[1]).value(), second);
+
+  // A segment file that is gone reads back nothing.
+  ASSERT_TRUE(remove_file(segs[1]).is_ok());
+  got = fs->entries_in(Zxid::zero(), Zxid::max());
+  ASSERT_EQ(got.size(), 6u);
+  EXPECT_EQ(got.back().zxid, (Zxid{1, 6}));
+}
+
+TEST_F(FileStorageTest, AnActiveSegmentThatDoesNotReloadCountsAsClosed) {
+  // The active segment 19..20 is damaged at 1:19 after open(). Reads take
+  // it from the mirror until a cut into it, which fails (it would drop
+  // 1:19), reloads the mirror from the file. The segment then counts as
+  // closed: its index stays, reads stop before it, and the next append
+  // rolls past it.
+  auto fs = open(false, 256);
+  for (std::uint32_t c = 1; c <= 20; ++c) {
+    fs->append(txn(1, c, std::string(32, 'a')), nullptr);
+  }
+  const auto segs = log_files();
+  ASSERT_EQ(segs.size(), 4u);
+  Bytes active = read_file(segs[3]).value();
+  active[20] ^= 0xff;  // the payload of record 1:19
+  ASSERT_TRUE(atomic_write_file(segs[3], active, false).is_ok());
+  EXPECT_EQ(fs->entries_in(Zxid::zero(), Zxid::max()).size(), 20u);
+
+  EXPECT_FALSE(fs->truncate_after(Zxid{1, 19}).is_ok());
+  EXPECT_EQ(fs->last_zxid(), (Zxid{1, 20}));
+  EXPECT_EQ(fs->latest_at_or_below(Zxid{1, 19}), (Zxid{1, 19}));
+  EXPECT_EQ(fs->info().mirror_bytes, 0u);
+  auto got = fs->entries_in(Zxid::zero(), Zxid::max());
+  ASSERT_EQ(got.size(), 18u);
+  EXPECT_EQ(got.back().zxid, (Zxid{1, 18}));
+
+  fs->append(txn(1, 21, std::string(32, 'a')), nullptr);
+  EXPECT_TRUE(fs->last_io_status().is_ok());
+  EXPECT_EQ(log_files().size(), 5u);
+  EXPECT_EQ(fs->info().mirror_bytes, 49u);
+  got = fs->entries_in(Zxid{1, 20}, Zxid::max());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].zxid, (Zxid{1, 21}));
+}
+
+TEST_F(FileStorageTest, AFailedCutLeavesTheLogAsItsFilesHoldIt) {
+  // A directory in place of segment 7..12 makes truncate_after fail part
+  // way, after it removed 13..18 and the mirrored 19..20. The log then
+  // answers from what its files hold, never from the removed mirror, and
+  // a retry once the file is back completes the cut.
+  auto fs = open(false, 256);
+  for (std::uint32_t c = 1; c <= 20; ++c) {
+    fs->append(txn(1, c, std::string(32, 'e')), nullptr);
+  }
+  const auto segs = log_files();
+  ASSERT_EQ(segs.size(), 4u);
+  const std::string aside = segs[1] + ".aside";
+  ASSERT_EQ(::rename(segs[1].c_str(), aside.c_str()), 0);
+  ASSERT_EQ(::mkdir(segs[1].c_str(), 0755), 0);
+
+  EXPECT_FALSE(fs->truncate_after(Zxid{1, 3}).is_ok());
+  EXPECT_EQ(fs->last_zxid(), (Zxid{1, 12}));
+  EXPECT_EQ(fs->info().mirror_bytes, 0u);
+  auto got = fs->entries_in(Zxid::zero(), Zxid::max());
+  ASSERT_EQ(got.size(), 6u);
+  EXPECT_EQ(got.back().zxid, (Zxid{1, 6}));
+
+  ASSERT_EQ(::rmdir(segs[1].c_str()), 0);
+  ASSERT_EQ(::rename(aside.c_str(), segs[1].c_str()), 0);
+  EXPECT_EQ(fs->entries_in(Zxid::zero(), Zxid::max()).size(), 12u);
+  ASSERT_TRUE(fs->truncate_after(Zxid{1, 3}).is_ok());
+  EXPECT_EQ(fs->last_zxid(), (Zxid{1, 3}));
+  bool durable = false;
+  fs->append(txn(2, 1), [&durable] { durable = true; });
+  EXPECT_TRUE(durable);
+  EXPECT_TRUE(fs->last_io_status().is_ok());
+  fs.reset();
+  fs = open(false, 256);
+  got = fs->entries_in(Zxid::zero(), Zxid::max());
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[2].zxid, (Zxid{1, 3}));
+  EXPECT_EQ(got[3].zxid, (Zxid{2, 1}));
+}
+
+TEST_F(FileStorageTest, APurgeStopsAtASegmentItCannotRemove) {
+  // Segments 1..6, 7..12, 13..18 and the mirrored 19..20, all covered by a
+  // snapshot but the last. With a directory in place of 7..12 the purge
+  // removes 1..6 and stops there: the files left are one run of the log.
+  auto fs = open(false, 256);
+  for (std::uint32_t c = 1; c <= 20; ++c) {
+    fs->append(txn(1, c, std::string(32, 'f')), nullptr);
+  }
+  ASSERT_TRUE(fs->save_snapshot(Snapshot{Zxid{1, 18}, {}}).is_ok());
+  const auto segs = log_files();
+  ASSERT_EQ(segs.size(), 4u);
+  const std::string aside = segs[1] + ".aside";
+  ASSERT_EQ(::rename(segs[1].c_str(), aside.c_str()), 0);
+  ASSERT_EQ(::mkdir(segs[1].c_str(), 0755), 0);
+  fs->purge_log(0);
+  EXPECT_EQ(fs->first_logged(), (Zxid{1, 7}));
+  fs.reset();
+  ASSERT_EQ(::rmdir(segs[1].c_str()), 0);
+  ASSERT_EQ(::rename(aside.c_str(), segs[1].c_str()), 0);
+  fs = open(false, 256);
+  const auto got = fs->entries_in(Zxid::zero(), Zxid::max());
+  ASSERT_EQ(got.size(), 14u);
+  for (std::uint32_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].zxid, (Zxid{1, 7 + i}));
+  }
 }
 
 TEST_F(FileStorageTest, SnapshotSaveLoadAndInstall) {
@@ -607,6 +755,131 @@ TEST_F(FileStorageTest, FsUtilHelpers) {
   EXPECT_FALSE(file_exists(dir_ + "/a/file"));
   EXPECT_FALSE(read_file(dir_ + "/nonexistent").is_ok());
 }
+
+// =============== FileStorage against MemStorage, step by step ================
+
+/// Bytes of `t`'s log record: the [len|crc] header and the encoded txn.
+std::uint64_t record_bytes(const Txn& t) {
+  BufWriter w;
+  encode_txn(w, t);
+  return 8 + w.size();
+}
+
+/// Seeded random runs against FileStorage with 4 KiB segments, in each
+/// sync mode, and MemStorage as the reference: appends across epochs,
+/// truncations, flushes and reopens. After every step both answer every
+/// read alike, and the mirror holds at most one segment plus what may still
+/// be queued, while the log grows to many segments.
+class StorageDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
+
+TEST_P(StorageDifferential, FileStorageAnswersLikeMemStorage) {
+  const auto [seed, group_commit] = GetParam();
+  constexpr std::size_t kSegment = 4096;
+  const std::string dir = ::testing::TempDir() + "/zab_fs_diff_" +
+                          std::to_string(seed) + (group_commit ? "_gc" : "");
+  (void)remove_dir_recursive(dir);
+  MetricsRegistry reg;
+  FileStorageOptions opts;
+  opts.dir = dir;
+  // Group commit forces for real, so rolls take prepared segments and
+  // reopens find their zero tails.
+  opts.fsync = group_commit;
+  if (group_commit) opts.sync_mode = FileStorageOptions::SyncMode::kGroupCommit;
+  opts.segment_bytes = kSegment;
+  opts.metrics = &reg;
+  auto open = [&] {
+    auto r = FileStorage::open(opts);
+    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    return std::move(r).take();
+  };
+  auto fs = open();
+  MemStorage ref;
+  Rng rng(seed);
+  Epoch epoch = 1;
+  std::uint64_t logged_bytes = 0;  // over the run, truncated records too
+  std::uint64_t unflushed = 0;     // appended since the queue was last empty
+
+  auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_EQ(fs->last_zxid(), ref.last_zxid());
+    ASSERT_EQ(fs->first_logged(), ref.first_logged());
+    ASSERT_EQ(fs->info().log_entries, ref.log_size());
+    const auto all = ref.entries_in(Zxid::zero(), Zxid::max());
+    ASSERT_EQ(fs->entries_in(Zxid::zero(), Zxid::max()), all);
+    std::vector<Zxid> probes = {Zxid::zero(), Zxid::max(), Zxid{epoch, 0}};
+    for (int i = 0; i < 12 && !all.empty(); ++i) {
+      const Zxid z = all[rng.below(all.size())].zxid;
+      probes.insert(probes.end(), {z, z.next_in_epoch(), z.next_epoch_start(),
+                                   Zxid{z.epoch, z.counter - 1}});
+    }
+    for (const Zxid z : probes) {
+      ASSERT_EQ(fs->latest_at_or_below(z), ref.latest_at_or_below(z))
+          << to_string(z);
+      ASSERT_EQ(fs->covers(z), ref.covers(z)) << to_string(z);
+    }
+    for (int i = 0; i < 4; ++i) {
+      Zxid after = probes[rng.below(probes.size())];
+      Zxid upto = probes[rng.below(probes.size())];
+      if (upto < after) std::swap(after, upto);
+      ASSERT_EQ(fs->entries_in(after, upto), ref.entries_in(after, upto))
+          << to_string(after) << " .. " << to_string(upto);
+    }
+    const std::uint64_t mirror = fs->info().mirror_bytes;
+    ASSERT_EQ(reg.gauge("storage.mirror_bytes").value(),
+              static_cast<std::int64_t>(mirror));
+    ASSERT_LE(mirror, kSegment + unflushed);
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const std::uint64_t dice = rng.below(100);
+    if (dice < 65) {
+      for (std::uint64_t n = 1 + rng.below(12); n > 0; --n) {
+        const Zxid last = ref.last_zxid();
+        Txn t{last.epoch == epoch ? last.next_in_epoch() : Zxid{epoch, 1},
+              Bytes(rng.below(300))};
+        for (auto& b : t.data) b = static_cast<std::uint8_t>(rng.below(256));
+        fs->append(t, nullptr);
+        ref.append(t, nullptr);
+        logged_bytes += record_bytes(t);
+        unflushed = group_commit ? unflushed + record_bytes(t) : 0;
+      }
+    } else if (dice < 73) {
+      epoch += 1 + static_cast<Epoch>(rng.below(2));
+    } else if (dice < 83) {
+      // Mostly near the tail, as a TRUNC is; sometimes deep, or to nothing.
+      const auto all = ref.entries_in(Zxid::zero(), Zxid::max());
+      const std::uint64_t depth = rng.below(20);
+      Zxid keep = Zxid::zero();
+      if (!all.empty() && depth != 0) {
+        const std::size_t back =
+            depth < 17 ? rng.below(std::min<std::size_t>(all.size(), 40))
+                       : rng.below(all.size());
+        keep = all[all.size() - 1 - back].zxid;
+      }
+      ASSERT_TRUE(fs->truncate_after(keep).is_ok());
+      ASSERT_TRUE(ref.truncate_after(keep).is_ok());
+      unflushed = 0;
+    } else if (dice < 92) {
+      fs->flush();
+      unflushed = 0;
+    } else {
+      fs.reset();
+      fs = open();
+      unflushed = 0;
+    }
+    check(step);
+    if (HasFatalFailure()) break;
+  }
+  EXPECT_GE(logged_bytes, 10 * kSegment);
+  fs.reset();
+  (void)remove_dir_recursive(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, StorageDifferential,
+    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 4),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace zab::storage

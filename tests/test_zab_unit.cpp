@@ -3,7 +3,12 @@
 // each phase and each rejection rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+
 #include "scripted_env.h"
+#include "storage/file_storage.h"
+#include "storage/fs_util.h"
 #include "storage/mem_storage.h"
 #include "zab/zab_node.h"
 
@@ -591,6 +596,193 @@ TEST(ZabUnit, LeaderWhoseLogEndsInItsOwnRemovalCommitsThenStepsDown) {
   env.advance(0);
   EXPECT_NE(node.role(), Role::kLeading);
   EXPECT_FALSE(node.is_active_leader());
+}
+
+TEST(ZabUnit, DiscoveryActivatesTheLoggedConfigWithoutReadingTheLog) {
+  // Node 1 logs, as a follower of node 4, a reconfig that removes 4 and
+  // then enough txns to fill many 1 KiB segments; node 4 dies before
+  // committing any of it. Node 1 wins the election and must lead under
+  // that config, which only a closed segment's file still holds, without
+  // reading the log: appends kept the latest logged config current.
+  const std::string dir = ::testing::TempDir() + "/zab_unit_discovery_config";
+  (void)storage::remove_dir_recursive(dir);
+  MetricsRegistry reg;
+  storage::FileStorageOptions opts;
+  opts.dir = dir;
+  opts.fsync = false;
+  opts.segment_bytes = 1024;
+  opts.metrics = &reg;
+  auto fs = std::move(storage::FileStorage::open(opts)).take();
+  const AtomicCounter& log_reads = reg.counter("storage.log_read_entries");
+  ZabConfig cfg;
+  cfg.id = 1;
+  cfg.peers = {1, 2, 3, 4};
+  ScriptedEnv env(1);
+  auto node = std::make_unique<ZabNode>(cfg, env, *fs, &reg);
+
+  node->start();
+  for (NodeId p : {2, 3, 4}) inject(*node, p, vote_for(4));
+  ASSERT_EQ(node->role(), Role::kFollowing);
+  inject(*node, 4, NewEpochMsg{1});
+  inject(*node, 4, NewLeaderMsg{1, Zxid::zero()});
+  inject(*node, 4, UpToDateMsg{1, Zxid::zero()});
+  ASSERT_EQ(node->phase(), Phase::kBroadcast);
+  ClusterConfig without_4;
+  without_4.voters = {1, 2, 3};
+  without_4.version = 1;
+  without_4.config_zxid = Zxid{1, 1};
+  constexpr std::uint32_t kTxns = 200;
+  ProposeBatchMsg batch{1, {Txn{Zxid{1, 1}, encode_reconfig_txn({without_4, 4, 1})}}};
+  for (std::uint32_t c = 2; c <= kTxns; ++c) {
+    batch.txns.push_back(Txn{Zxid{1, c}, Bytes(100, 'x')});
+  }
+  inject(*node, 4, batch);
+  ASSERT_EQ(node->last_logged(), (Zxid{1, kTxns}));
+  ASSERT_GT(fs->info().segments, 20u);
+  ASSERT_LT(fs->info().mirror_bytes, opts.segment_bytes);
+  ASSERT_EQ(node->cluster_config().version, 0u);  // not committed
+  const std::uint64_t reads = log_reads.value();
+
+  env.advance(cfg.follower_timeout + cfg.heartbeat_interval * 2);
+  ASSERT_EQ(node->role(), Role::kLooking);
+  const auto votes = env.drain_of<VoteMsg>();
+  ASSERT_FALSE(votes.empty());
+  const ElectionEpoch round = votes.back().second.round;
+  for (NodeId p : {2, 3}) {
+    inject(*node, p, vote_for(1, Zxid{1, kTxns}, 1, round));
+  }
+  env.advance(kElectionFinalize);
+  ASSERT_EQ(node->role(), Role::kLeading);
+  EXPECT_EQ(node->cluster_config().version, 1u);
+  EXPECT_EQ(node->cluster_config().voters, (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(log_reads.value(), reads);
+
+  // An up-to-date follower needs no log read either; a lagging one gets
+  // its DIFF read back from the segment files.
+  inject(*node, 2, CEpochMsg{1, 1, Zxid{1, kTxns}});
+  inject(*node, 2, AckEpochMsg{1, Zxid{1, kTxns}});
+  EXPECT_EQ(log_reads.value(), reads);
+  (void)env.drain();
+  inject(*node, 3, CEpochMsg{1, 1, Zxid{1, 1}});
+  inject(*node, 3, AckEpochMsg{1, Zxid{1, 1}});
+  const auto diff = env.drain_of<ProposeMsg>();
+  ASSERT_EQ(diff.size(), kTxns - 1);
+  for (std::uint32_t i = 0; i < diff.size(); ++i) {
+    EXPECT_EQ(diff[i].second.txn.zxid, (Zxid{1, i + 2}));
+  }
+  EXPECT_GT(log_reads.value(), reads);
+
+  // A restart reads the log once, and recovers the same config from it.
+  node.reset();
+  fs.reset();
+  fs = std::move(storage::FileStorage::open(opts)).take();
+  const std::uint64_t before_start = log_reads.value();
+  node = std::make_unique<ZabNode>(cfg, env, *fs, &reg);
+  node->start();
+  EXPECT_GT(log_reads.value(), before_start);
+  EXPECT_EQ(node->cluster_config().version, 1u);
+  node.reset();
+  fs.reset();
+  (void)storage::remove_dir_recursive(dir);
+}
+
+/// A FileStorage in `dir` with 1 KiB segments, holding txns 1:1 .. 1:n of
+/// 100 bytes each (many closed segments) and epochs accepted/current 1.
+std::unique_ptr<storage::FileStorage> long_log(const std::string& dir,
+                                               std::uint32_t n) {
+  (void)storage::remove_dir_recursive(dir);
+  storage::FileStorageOptions opts;
+  opts.dir = dir;
+  opts.fsync = false;
+  opts.segment_bytes = 1024;
+  auto fs = std::move(storage::FileStorage::open(opts)).take();
+  for (std::uint32_t c = 1; c <= n; ++c) {
+    fs->append(Txn{Zxid{1, c}, Bytes(100, 'x')}, nullptr);
+  }
+  EXPECT_TRUE(fs->set_accepted_epoch(1).is_ok());
+  EXPECT_TRUE(fs->set_current_epoch(1).is_ok());
+  return fs;
+}
+
+/// Remove the file of a closed log segment from the middle of `dir`; with
+/// `block`, put a directory in its place, which no unlink removes.
+void lose_a_middle_segment(const std::string& dir, bool block = false) {
+  std::vector<std::string> logs;
+  const auto names = storage::list_dir(dir);
+  ASSERT_TRUE(names.is_ok());
+  for (const auto& name : names.value()) {
+    if (name.rfind("log.", 0) == 0) logs.push_back(name);
+  }
+  std::sort(logs.begin(), logs.end());
+  ASSERT_GT(logs.size(), 4u);
+  const std::string path = dir + "/" + logs[logs.size() / 2];
+  ASSERT_TRUE(storage::remove_file(path).is_ok());
+  if (block) {
+    ASSERT_TRUE(storage::make_dirs(path).is_ok());
+  }
+}
+
+TEST(ZabUnit, LeaderSendsNoDiffPastALogFileThatDoesNotReadBack) {
+  // The leader's log loses a closed segment's file after open(). A DIFF
+  // from below it would have a hole that chains onto the follower's tail,
+  // so the leader sends none of it, and no NEWLEADER: it abdicates.
+  const std::string dir = ::testing::TempDir() + "/zab_unit_diff_gap";
+  constexpr std::uint32_t kTxns = 100;
+  auto fs = long_log(dir, kTxns);
+  ScriptedEnv env(1);
+  ZabNode node(three_node_cfg(1), env, *fs);
+  node.start();
+  inject(node, 2, vote_for(1, Zxid{1, kTxns}, 1));
+  inject(node, 3, vote_for(1, Zxid{1, kTxns}, 1));
+  ASSERT_EQ(node.role(), Role::kLeading);
+  inject(node, 2, CEpochMsg{1, 1, Zxid{1, 1}});
+  ASSERT_FALSE(env.drain_of<NewEpochMsg>().empty());
+
+  lose_a_middle_segment(dir);
+  inject(node, 2, AckEpochMsg{1, Zxid{1, 1}});
+  for (const auto& s : env.drain()) {
+    EXPECT_FALSE(std::holds_alternative<ProposeMsg>(s.msg));
+    EXPECT_FALSE(std::holds_alternative<NewLeaderMsg>(s.msg));
+  }
+  EXPECT_EQ(node.role(), Role::kLooking);
+  fs.reset();
+  (void)storage::remove_dir_recursive(dir);
+}
+
+TEST(ZabUnitDeathTest, StartStopsOnALogThatDoesNotReadBack) {
+  // Started over a log that lost a segment's file after open(), a replica
+  // would run on part of its history: it stops instead.
+  const std::string dir = ::testing::TempDir() + "/zab_unit_start_gap";
+  auto fs = long_log(dir, 100);
+  lose_a_middle_segment(dir);
+  ScriptedEnv env(1);
+  ZabNode node(three_node_cfg(1), env, *fs);
+  EXPECT_DEATH(node.start(), "log does not read back");
+  fs.reset();
+  (void)storage::remove_dir_recursive(dir);
+}
+
+TEST(ZabUnitDeathTest, FollowerStopsWhenItsLogChangesOnlyPartWay) {
+  // A TRUNC whose cut fails part way (the segments past a middle one are
+  // gone, that one is not) leaves the log shorter than the follower's last
+  // logged txn, which the next DIFF would chain onto: the follower stops.
+  // So does a SNAP whose install cannot remove the whole log.
+  const std::string dir = ::testing::TempDir() + "/zab_unit_log_fails";
+  auto fs = long_log(dir, 100);
+  ScriptedEnv env(1);
+  ZabNode node(three_node_cfg(1), env, *fs);
+  node.start();
+  inject(node, 2, vote_for(3, Zxid{1, 100}, 1));
+  inject(node, 3, vote_for(3, Zxid{1, 100}, 1));
+  ASSERT_EQ(node.role(), Role::kFollowing);
+  inject(node, 3, NewEpochMsg{2});
+  ASSERT_EQ(fs->accepted_epoch(), 2u);
+  lose_a_middle_segment(dir, /*block=*/true);
+  EXPECT_DEATH(inject(node, 3, TruncMsg{2, Zxid{1, 10}}), "truncate failed");
+  EXPECT_DEATH(inject(node, 3, SnapMsg{2, Zxid{1, 100}, {}}),
+               "snapshot install failed");
+  fs.reset();
+  (void)storage::remove_dir_recursive(dir);
 }
 
 TEST(ZabUnit, LeaderServicesLateJoinerDuringBroadcast) {
